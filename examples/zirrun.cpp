@@ -3,7 +3,7 @@
  * `zirrun` — compile and run a Ziria source file from the command line.
  *
  * Usage:
- *   zirrun FILE.zir [--opt none|vect|all] [--backend vm|fused]
+ *   zirrun FILE.zir [--opt none|vect|all] [--backend vm|fused|native]
  *                   [--dump] [--bytes N]
  *                   [--profile[=FILE]] [--trace-passes[=N]]
  *                   [--latency-budget-us N] [--trace-timeline FILE]
@@ -19,7 +19,10 @@
  * bytecode interpreter (docs/FUSION.md) instead of the closure-tree VM;
  * constructs the fuser cannot flatten (threaded `|>>>|` partitions,
  * native blocks) fall back to VM combinators node by node.  The compile
- * summary reports `fused N region(s), M fallback(s)`.
+ * summary reports `fused N region(s), M fallback(s)`.  `--backend
+ * native` runs the same regions as machine code compiled from emitted
+ * C++ (docs/CODEGEN.md; `--cgen-cache-dir DIR` picks the shared-object
+ * cache); a region that cannot be compiled is interpreted instead.
  *
  * `--profile` compiles with instrumentation and emits a JSON document
  * (to stdout, or FILE with `--profile=FILE`) containing the compile
@@ -646,16 +649,6 @@ main(int argc, char** argv)
                      "zirrun: --ckpt-dir and --deadline-ms are mutually "
                      "exclusive (the threaded executor has no snapshot "
                      "contract to persist)\n");
-        return kExitUserError;
-    }
-    if (!ckptDir.empty() && backend == Backend::Native) {
-        std::fprintf(stderr,
-                     "zirrun: --ckpt-dir is not supported with "
-                     "--backend=native: compiled regions do not expose a "
-                     "serializable state image; use --backend=fused or "
-                     "--backend=vm for durable checkpoints "
-                     "(docs/ROBUSTNESS.md, \"Checkpointing & "
-                     "migration\")\n");
         return kExitUserError;
     }
     if (!ckptDir.empty() && !listen && !faultStr.empty()) {

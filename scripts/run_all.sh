@@ -90,7 +90,7 @@ ctest --test-dir build -L fuse --output-on-failure 2>&1 \
 sh scripts/soak.sh fuse 2>&1 | tee -a fuse_output.txt
 # Native-codegen suites (label `cgen`): vm-vs-fused-vs-native
 # differential matrix, native golden-vector conformance, the .so cache
-# (miss/hit/corruption quarantine), and the compile-time refusal cells
+# (miss/hit/corruption quarantine), and the stage-restart refusal cell
 # (docs/CODEGEN.md) — then the CLI cgen soak (--backend=native x fault
 # x restart x serve plus the warm-cache byte-equality check).
 ctest --test-dir build -L cgen -E soak_cgen --output-on-failure 2>&1 \

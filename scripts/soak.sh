@@ -18,8 +18,7 @@
 # with every robustness control exactly like the VM — same exit code in
 # every cell.  The cgen matrix (docs/CODEGEN.md) repeats that grid with
 # `--backend=native` (dlopen'd compiled regions), adds the loud-refusal
-# cells (stage restart / checkpointing) and a warm-.so-cache
-# byte-equality check.
+# cell (stage restart) and a warm-.so-cache byte-equality check.
 #
 # The migrate matrix (docs/ROBUSTNESS.md, "Checkpointing & migration")
 # checks the zero-loss claims end to end through the CLI: a faulted run
@@ -31,9 +30,10 @@
 # The crash matrix (docs/ROBUSTNESS.md, "Durable checkpoints & live
 # migration") SIGKILLs a run mid-stream — no drain, no warning — then
 # resumes from --ckpt-dir and byte-compares the output against a
-# fault-free run, across {vm,fused} x {solo,--listen}.  It also drives
-# a live session migration between two servers under neighbor load and
-# a rejected migration (dead peer) that must roll back losslessly.
+# fault-free run: solo on each of {vm,fused,native}, and --listen.  It
+# also drives a live session migration between two servers under
+# neighbor load and a rejected migration (dead peer) that must roll
+# back losslessly.
 #
 # Usage: scripts/soak.sh [fault|recovery|serve|fuse|cgen|migrate|crash|all]
 #        (default: all); BUILD_DIR=build-tsan scripts/soak.sh
@@ -282,8 +282,8 @@ fuse_matrix() {
 # Cgen matrix: {backend=native} x {fault} x {restart} x {serve}.  The
 # native backend dlopens compiled regions behind the same ExecNode seam
 # (docs/CODEGEN.md), so every robustness cell must exit exactly like
-# its VM/fused twins; the refusal cells pin the loud compile-time
-# errors for the unsupported combinations, and the warm-cache cell
+# its VM/fused twins; the refusal cell pins the loud compile-time
+# error for stage-scoped restart, and the warm-cache cell
 # proves a second run (served from the .so cache) emits the same
 # summary as the cold one.  Runs against a private cache dir so the
 # matrix is deterministic and leaves nothing behind.
@@ -323,19 +323,11 @@ cgen_matrix() {
             --cgen-cache-dir "$cache" --serve=2000 \
             --inject-fault throw@100 --restart 3 --backoff-ms 1
 
-    # Loud refusals (docs/ROBUSTNESS.md support matrix): both are user
-    # errors at compile time, never silent fallbacks.
+    # Loud refusal (docs/ROBUSTNESS.md support matrix): a user error at
+    # compile time, never a silent fallback.
     check 2 "cgen/refuse stage restart" \
             $BIN examples/zir/pipeline.zir --backend=native --bytes 4096 \
             --restart 2 --restart-scope stage
-    check 2 "cgen/refuse checkpoint" \
-            $BIN examples/zir/scrambler.zir --backend=native --bytes 4096 \
-            --restart 1 --checkpoint=64
-    ckd=$(mktemp -d /tmp/ziria-soak-cgen-ckd.XXXXXX)
-    check 2 "cgen/refuse ckpt-dir" \
-            $BIN examples/zir/scrambler.zir --backend=native --bytes 4096 \
-            --restart 1 --checkpoint=64 --ckpt-dir "$ckd"
-    rm -rf "$ckd"
 
     # Warm cache: the second clean run must be served from the .so
     # cache and print the identical output summary.
@@ -358,7 +350,9 @@ cgen_matrix() {
 # Migrate matrix: checkpointed restart byte-equality, per-stage restart,
 # and SIGTERM drain with a session mid-stream.
 migrate_matrix() {
-    sc="$BIN examples/zir/scrambler.zir --bytes 4096"
+    cache=$(mktemp -d /tmp/ziria-soak-migrate.XXXXXX)
+    sc="$BIN examples/zir/scrambler.zir --bytes 4096 \
+        --cgen-cache-dir $cache"
     pl="$BIN examples/zir/pipeline.zir --bytes 4096"
 
     # check_same DESC CLEAN_CMD FAULTED_CMD: both must exit 0 and print
@@ -383,7 +377,7 @@ migrate_matrix() {
         fi
     }
 
-    for backend in vm fused; do
+    for backend in vm fused native; do
         for opt in none all; do
             tag="migrate/scrambler/$backend/$opt"
             c="$sc --opt $opt --backend=$backend"
@@ -404,6 +398,7 @@ migrate_matrix() {
                     --backoff-ms 1 --checkpoint=64
         done
     done
+    rm -rf "$cache"
 
     # Per-stage restart on the threaded pipeline (splits at |>>>|):
     # transient faults heal without tearing down healthy stages,
@@ -488,11 +483,11 @@ crash_matrix() {
     work="${TMPDIR:-/tmp}/ziria_soak_crash.$$"
     mkdir -p "$work"
 
-    # --- solo legs: {vm,fused} ------------------------------------
-    for backend in vm fused; do
+    # --- solo legs: {vm,fused,native} -----------------------------
+    for backend in vm fused native; do
         tag="crash/solo/$backend"
         c="$BIN examples/zir/scrambler.zir --backend=$backend \
-           --bytes 67108864"
+           --cgen-cache-dir $work/cgen --bytes 67108864"
         ref="$work/ref_$backend.bin"
         out="$work/out_$backend.bin"
         ck="$work/ck_$backend"

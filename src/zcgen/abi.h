@@ -3,10 +3,11 @@
  * The host <-> generated-code ABI for the native backend.
  *
  * A generated region is `extern "C" int zr_region_<i>(ZrCtx*)` returning
- * the ExecNode status (0 = Yield, 1 = NeedInput, 2 = Done).  The host
- * (CgenNode) points the context at its frame/state/register spaces
- * before each call; the generated code reads and writes them directly
- * and calls back through the function pointers for closures it could
+ * the ExecNode status (0 = Yield, 1 = NeedInput, 2 = Done).  The
+ * context IS the region's state: FusedNode (zfuse/fuse.h) keeps its pc,
+ * spaces and out/ctrl pointers here, points `fr` at the frame before
+ * each call, and its bytecode interpreter uses the very same fields.
+ * The generated code reads and writes them directly and calls back through the function pointers for closures it could
  * not inline (host bridges), LUTs, and runtime diagnostics (traps throw
  * FatalError host-side so messages match the interpreter byte-for-byte).
  *
@@ -43,7 +44,7 @@ struct ZrCtx
     const uint8_t* ctrlPtr; ///< control value after Done
     uint64_t ctrlWidth;     ///< mutated by the Ctrl instruction
 
-    void* host;             ///< the owning CgenNode
+    void* host;             ///< the owning FusedNode
     void (*hostInto)(void* host, int32_t idx, uint8_t* dst);
     int64_t (*hostInt)(void* host, int32_t idx);
     void (*hostAction)(void* host, int32_t idx);

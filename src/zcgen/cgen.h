@@ -8,11 +8,12 @@
  * — external takes/emits become the same parked-pc protocol, internal
  * `>>>` channels become direct `goto`s, and expression closures are
  * inlined as scalar/array code — then compiled with the system C++
- * compiler into a shared object and bound through `dlopen` behind the
- * unchanged ExecNode seam.  Region finding reuses the fused backend's
- * maximal-fusible-subtree walk (`buildNodeFusedWith`), so native blocks
- * and `|>>>|` boundaries keep their VM-spine fallback and the Spin
- * livelock diagnostic is preserved verbatim.
+ * compiler into a shared object and bound through `dlopen` to the
+ * region's FusedNode, which keeps its one state (so checkpoints are
+ * portable between fused and native).  Region finding is the fused
+ * backend's maximal-fusible-subtree walk (`buildNodeFused`), so native
+ * blocks and `|>>>|` boundaries keep their VM-spine fallback and the
+ * Spin livelock diagnostic is preserved verbatim.
  *
  * Compiled objects are cached on disk keyed by a hash of the emitted
  * source, the compiler version and the flags; a CRC-checked manifest
@@ -44,7 +45,7 @@ struct CgenStats
     int cacheHits = 0;    ///< translation units served from the cache
     int cacheMisses = 0;  ///< translation units not found in the cache
     int fallbacks = 0;    ///< regions left on the bytecode interpreter
-    int hostBridges = 0;  ///< closures routed through host callbacks
+    int hostBridges = 0;  ///< closure and LUT sites calling the host
     double compileSec = 0.0;   ///< wall time spent in the C++ compiler
     std::string compiler;      ///< compiler version line ("" if none)
     std::string cacheKey;      ///< cache key of the last translation unit
@@ -105,12 +106,12 @@ std::string fnv1a64Hex(const std::string& data);
 } // namespace zcgen
 
 /**
- * Build the execution tree with the native backend: the fused region
- * walk runs unchanged, but each region becomes a CgenNode executing
- * dlopen'd machine code (or the bytecode interpreter when compilation
- * is unavailable — counted in @p cstats->fallbacks and in the
- * `ziria.cgen.fallbacks` metric).  Drop-in replacement for
- * buildNodeFused.  @p cacheDir empty means the default cache location.
+ * Build the execution tree with the native backend: the fused build
+ * runs unchanged, then each region's FusedNode is bound to dlopen'd
+ * machine code (or left interpreting when compilation is unavailable —
+ * counted in @p cstats->fallbacks and in the `ziria.cgen.fallbacks`
+ * metric).  Drop-in replacement for buildNodeFused.  @p cacheDir empty
+ * means the default cache location.
  */
 NodePtr buildNodeNative(const CompPtr& c, ExprCompiler& ec,
                         const BuildOptions& opt, BuildStats* stats,

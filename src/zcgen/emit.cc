@@ -1229,6 +1229,7 @@ class RegionEmitter
           }
           case Op::Lut:
             // LUT tables live host-side; always bridge.
+            ++bridges_;
             ln("zc->hostLut(zc->host, " + num(i.fn) + ", " + loc(i.a) +
                ");");
             ln("goto " + next + ";");

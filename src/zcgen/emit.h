@@ -2,7 +2,7 @@
  * @file
  * Internal: translate lowered fused regions into one C++ source unit.
  *
- * Not installed API — only cgen_node.cc (the build driver) and the
+ * Not installed API — only native.cc (the build driver) and the
  * tests include this.  docs/CODEGEN.md describes the emission strategy.
  */
 #ifndef ZIRIA_ZCGEN_EMIT_H
@@ -21,13 +21,14 @@ namespace zcgen {
 struct EmitUnit
 {
     std::string source;   ///< self-contained C++ (no repo includes)
-    int hostBridges = 0;  ///< closures that fell back to host callbacks
+    int hostBridges = 0;  ///< closure and LUT sites calling the host
 };
 
 /**
  * Emit C++ for @p progs: region @p i becomes `zr_region_<i>`.  Closure
  * ASTs the emitter cannot express compile to host-callback bridges
- * instead (semantics preserved, counted in hostBridges).  May allocate
+ * instead (semantics preserved); those and every LUT application are
+ * counted in hostBridges.  May allocate
  * fresh frame slots in @p ec's layout (re-inlined call parameters), so
  * it must run before the frame is sized.
  */

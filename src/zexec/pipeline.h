@@ -223,10 +223,11 @@ NodePtr buildNode(const CompPtr& c, ExprCompiler& ec,
 class Pipeline
 {
   public:
+    /** @p state_size: see FrameLayout::stateSize(). */
     Pipeline(NodePtr root, size_t frame_size, size_t in_width,
-             size_t out_width)
-        : root_(std::move(root)), frame_(frame_size), inWidth_(in_width),
-          outWidth_(out_width)
+             size_t out_width, size_t state_size = SIZE_MAX)
+        : root_(std::move(root)), frame_(frame_size, state_size),
+          inWidth_(in_width), outWidth_(out_width)
     {
     }
 

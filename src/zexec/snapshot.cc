@@ -15,7 +15,7 @@ takeSnapshot(const ExecNode& root, const Frame& f, uint64_t consumed,
     w.u32(kSnapshotVersion);
     w.u64(consumed);
     w.u64(emitted);
-    w.blob(f.size() ? f.at(0) : nullptr, f.size());
+    w.blob(f.stateSize() ? f.at(0) : nullptr, f.stateSize());
     root.snapshot(f, w);
     metrics::Registry::global().counter("ziria.ckpt.snapshots").inc();
     return w.take();
@@ -36,7 +36,7 @@ restoreSnapshot(ExecNode& root, Frame& f, const uint8_t* data,
     info.consumed = r.u64();
     info.emitted = r.u64();
     std::vector<uint8_t> frameImg = r.blob();
-    if (frameImg.size() != f.size())
+    if (frameImg.size() != f.stateSize())
         throw StateFormatError("frame size mismatch (checkpoint from a "
                                "different program?)");
 
@@ -44,7 +44,7 @@ restoreSnapshot(ExecNode& root, Frame& f, const uint8_t* data,
     // patch state; the frame image then overwrites what reset clobbered;
     // the node stream last, so NativeNode factories see restored binders.
     root.reset(f);
-    if (f.size())
+    if (!frameImg.empty())
         std::memcpy(f.at(0), frameImg.data(), frameImg.size());
     root.restore(f, r);
     metrics::Registry::global().counter("ziria.ckpt.restores").inc();

@@ -10,7 +10,8 @@
  *   u32  version (kSnapshotVersion)
  *   u64  consumed  — input elements consumed when the snapshot was taken
  *   u64  emitted   — output elements emitted when it was taken
- *   blob frame image (the flat byte frame, zexpr/frame.h)
+ *   blob frame image (the flat byte frame's stateSize() bytes,
+ *        zexpr/frame.h)
  *   node state stream (ExecNode::snapshot over the whole tree)
  *
  * The frame image makes the container total even for state the node

@@ -31,18 +31,29 @@ class Frame
   public:
     Frame() = default;
 
-    explicit Frame(size_t size) : mem_(size, 0) {}
+    explicit Frame(size_t size) : Frame(size, size) {}
+
+    /** A frame whose bytes past @p stateSize are scratch (see
+     *  FrameLayout::stateSize()). */
+    Frame(size_t size, size_t stateSize)
+        : mem_(size, 0), stateSize_(std::min(stateSize, size))
+    {
+    }
 
     void
     resize(size_t size)
     {
         mem_.assign(size, 0);
+        stateSize_ = size;
     }
 
     uint8_t* at(size_t off) { return mem_.data() + off; }
     const uint8_t* at(size_t off) const { return mem_.data() + off; }
 
     size_t size() const { return mem_.size(); }
+
+    /** Leading bytes that hold state between steps (checkpointed). */
+    size_t stateSize() const { return stateSize_; }
 
     /** Zero all state (used when re-initializing a pipeline). */
     void
@@ -53,6 +64,7 @@ class Frame
 
   private:
     std::vector<uint8_t> mem_;
+    size_t stateSize_ = 0;
 };
 
 /** Compile-time assignment of variables to frame offsets. */
@@ -92,6 +104,18 @@ class FrameLayout
 
     size_t frameSize() const { return size_; }
 
+    /** Slots added from here on are scratch; see stateSize(). */
+    void beginScratch() { scratchFrom_ = std::min(scratchFrom_, size_); }
+
+    /**
+     * Bytes before the first beginScratch().  The native emitter adds
+     * its slots (re-inlined call parameters and locals) after that
+     * point; each is written before it is read within one closure, so
+     * none holds state between steps.  Checkpoints leave them out,
+     * which makes a fused and a native frame of one program alike.
+     */
+    size_t stateSize() const { return std::min(scratchFrom_, size_); }
+
     /** Debug aid: print every slot (offset, width, name_uid). */
     void
     dumpVars() const
@@ -115,6 +139,7 @@ class FrameLayout
     std::unordered_map<const VarSym*, size_t> off_;
     std::vector<VarRef> vars_;
     size_t size_ = 0;
+    size_t scratchFrom_ = SIZE_MAX;
 };
 
 } // namespace ziria

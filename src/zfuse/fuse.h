@@ -21,11 +21,12 @@
 #ifndef ZIRIA_ZFUSE_FUSE_H
 #define ZIRIA_ZFUSE_FUSE_H
 
-#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "zast/comp.h"
+#include "zcgen/abi.h"
 #include "zexec/pipeline.h"
 #include "zfuse/bytecode.h"
 
@@ -57,49 +58,49 @@ std::shared_ptr<const zfuse::FuseProgram>
 lowerFused(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
            BuildStats* stats = nullptr, FuseStats* fstats = nullptr);
 
+class FusedNode;
+
 /**
  * Build the execution tree with the fused backend: maximal fusible
  * subtrees become FusedNodes, the rest VM nodes.  Drop-in replacement
  * for buildNode (same width normalization and instrumentation shims).
+ * Each region node is appended to @p regions when non-null (the native
+ * backend binds compiled code to them) and reported to tracing shims
+ * as @p regionKind.
  */
 NodePtr buildNodeFused(const CompPtr& c, ExprCompiler& ec,
                        const BuildOptions& opt, BuildStats* stats,
                        FuseStats* fstats = nullptr,
-                       const std::string& path = "root");
+                       const std::string& path = "root",
+                       std::vector<FusedNode*>* regions = nullptr,
+                       const char* regionKind = "fused");
+
+namespace zcgen {
+class Library;
+}
 
 /**
- * Creates the execution node for one lowered fused region.  The fused
- * backend plugs in FusedNode; the native backend (src/zcgen/) plugs in
- * a node that will run the region as dlopen'd machine code.
+ * One fused region (behind ExecNode).  The node owns the region's only
+ * state — registers, state block, channel continuations and the parked
+ * pc — laid out as the ZrCtx that compiled code reads (zcgen/abi.h).
+ * advance() runs the bound compiled entry point when there is one and
+ * interprets the bytecode otherwise; both read and write the same
+ * fields, so snapshots are portable between them.
  */
-using RegionFactory =
-    std::function<NodePtr(std::shared_ptr<const zfuse::FuseProgram>)>;
-
-/**
- * The generalized fused build: identical maximal-fusible-subtree
- * region finding and VM-spine fallback, but each region node is made
- * by @p makeRegion and reported as @p regionKind to tracing shims.
- * `buildNodeFused` is this with a FusedNode factory.
- */
-NodePtr buildNodeFusedWith(const CompPtr& c, ExprCompiler& ec,
-                           const BuildOptions& opt, BuildStats* stats,
-                           FuseStats* fstats, const std::string& path,
-                           const RegionFactory& makeRegion,
-                           const char* regionKind);
-
-/** The bytecode interpreter node (behind ExecNode; one per region). */
 class FusedNode : public ExecNode
 {
   public:
     explicit FusedNode(std::shared_ptr<const zfuse::FuseProgram> prog);
+    FusedNode(const FusedNode&) = delete;
+    FusedNode& operator=(const FusedNode&) = delete;
 
     void start(Frame& f) override;
     /** Total by construction: zero state block + re-enter at entry. */
     void reset(Frame& f) override { start(f); }
     Status advance(Frame& f) override;
     void supply(Frame& f, const uint8_t* in) override;
-    const uint8_t* out() const override { return outPtr_; }
-    const uint8_t* ctrl() const override { return ctrlPtr_; }
+    const uint8_t* out() const override { return ctx_.outPtr; }
+    const uint8_t* ctrl() const override { return ctx_.ctrlPtr; }
 
     /**
      * Serialize the register / state-block / channel spaces plus the
@@ -108,14 +109,30 @@ class FusedNode : public ExecNode
      * cells written by compiled Action/EvalInto closures are NOT
      * enumerable from the instruction stream, so whole-frame coverage
      * comes from the PipelineSnapshot container, not from this node
-     * (docs/ROBUSTNESS.md, "Checkpointing & migration").
+     * (docs/ROBUSTNESS.md, "Checkpointing & migration").  The stream
+     * is the same bound or not, so it restores across fused/native.
      */
     void snapshot(const Frame& f, StateWriter& w) const override;
     void restore(Frame& f, StateReader& r) override;
 
     const zfuse::FuseProgram& program() const { return *prog_; }
 
+    /**
+     * Run this region as compiled code from now on (src/zcgen/):
+     * advance() calls @p fn over this node's state, with the host
+     * callbacks taken from @p hostTable.  @p lib keeps the shared
+     * object alive.
+     */
+    void bindNative(std::shared_ptr<zcgen::Library> lib,
+                    zcgen::ZrRegionFn fn, const zcgen::ZrCtx& hostTable);
+    bool bound() const { return fn_ != nullptr; }
+
+    /** The frame of the compiled advance() in flight (host callbacks). */
+    Frame& frame() const { return *frame_; }
+
   private:
+    Status interpret(Frame& f);
+
     uint8_t* loc(Frame& f, uint32_t enc)
     {
         return (enc & zfuse::kFrameBit)
@@ -129,10 +146,12 @@ class FusedNode : public ExecNode
     std::vector<uint32_t> chProdPc_;
     std::vector<uint32_t> chConsPc_;
     std::vector<uint8_t> chFull_;
-    uint32_t pc_ = 0;
-    uint64_t spins_ = 0;  ///< repeat livelock guard (reset on any I/O)
-    const uint8_t* outPtr_ = nullptr;
-    const uint8_t* ctrlPtr_ = nullptr;
+    /// Points at the spaces above; holds the parked pc, the repeat
+    /// livelock guard, the out/ctrl pointers and the ctrl width.
+    zcgen::ZrCtx ctx_{};
+    Frame* frame_ = nullptr;
+    std::shared_ptr<zcgen::Library> lib_;
+    zcgen::ZrRegionFn fn_ = nullptr;
 };
 
 } // namespace ziria

@@ -14,9 +14,14 @@
  * Dispatch is computed-goto under GCC/Clang (one indirect branch per
  * instruction, the classic direct-threaded interpreter) with a switch
  * fallback elsewhere.  The jump-table order must match `enum class Op`.
+ *
+ * A region bound to compiled code (src/zcgen/) runs the same protocol
+ * over the same ZrCtx instead of the loop below; start(), supply(),
+ * snapshot() and restore() do not care which of the two ran.
  */
 #include "zfuse/fuse.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/panic.h"
@@ -45,6 +50,28 @@ FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     setInWidth(prog_->inWidth);
     setOutWidth(prog_->outWidth);
     setCtrlWidth(prog_->ctrlWidth);
+    ctx_.st = state_.data();
+    ctx_.regs = regs_.data();
+    ctx_.chProdPc = chProdPc_.data();
+    ctx_.chConsPc = chConsPc_.data();
+    ctx_.chFull = chFull_.data();
+    ctx_.ctrlWidth = prog_->ctrlWidth;
+    ctx_.host = this;
+}
+
+void
+FusedNode::bindNative(std::shared_ptr<zcgen::Library> lib,
+                      zcgen::ZrRegionFn fn, const zcgen::ZrCtx& hostTable)
+{
+    lib_ = std::move(lib);
+    fn_ = fn;
+    ctx_.hostInto = hostTable.hostInto;
+    ctx_.hostInt = hostTable.hostInt;
+    ctx_.hostAction = hostTable.hostAction;
+    ctx_.hostLut = hostTable.hostLut;
+    ctx_.trapMsg = hostTable.trapMsg;
+    ctx_.trapIndex = hostTable.trapIndex;
+    ctx_.trapSlice = hostTable.trapSlice;
 }
 
 void
@@ -55,10 +82,10 @@ FusedNode::start(Frame&)
     std::fill(chProdPc_.begin(), chProdPc_.end(), 0);
     std::fill(chConsPc_.begin(), chConsPc_.end(), 0);
     std::fill(chFull_.begin(), chFull_.end(), 0);
-    pc_ = 0;
-    spins_ = 0;
-    outPtr_ = nullptr;
-    ctrlPtr_ = nullptr;
+    ctx_.pc = 0;
+    ctx_.spins = 0;
+    ctx_.outPtr = nullptr;
+    ctx_.ctrlPtr = nullptr;
 }
 
 namespace {
@@ -123,11 +150,11 @@ FusedNode::snapshot(const Frame& f, StateWriter& w) const
         w.u32(chConsPc_[i]);
         w.u8(chFull_[i]);
     }
-    w.u32(pc_);
-    w.u64(spins_);
+    w.u32(ctx_.pc);
+    w.u64(ctx_.spins);
     w.u64(ctrlWidth_);  // the Ctrl op mutates it at run time
-    writePtrTag(w, outPtr_, f, state_);
-    writePtrTag(w, ctrlPtr_, f, state_);
+    writePtrTag(w, ctx_.outPtr, f, state_);
+    writePtrTag(w, ctx_.ctrlPtr, f, state_);
 }
 
 void
@@ -140,13 +167,13 @@ FusedNode::restore(Frame& f, StateReader& r)
     std::vector<uint8_t> st = r.blob();
     if (st.size() != state_.size())
         throw StateFormatError("fused state block size mismatch");
-    state_ = std::move(st);
+    std::copy(st.begin(), st.end(), state_.begin());  // ctx_.st stays valid
     uint64_t nch = r.u64();
     if (nch != chProdPc_.size())
         throw StateFormatError("fused channel count mismatch");
     // Every pc in the stream is dispatched as an instruction index by
     // advance()/supply(); an out-of-range one from an untrusted stream
-    // would fetch beyond the program.
+    // would fetch beyond the program (or hit compiled code's trap).
     const uint32_t nInstr = static_cast<uint32_t>(prog_->instrs.size());
     for (size_t i = 0; i < chProdPc_.size(); ++i) {
         chProdPc_[i] = r.u32();
@@ -158,20 +185,21 @@ FusedNode::restore(Frame& f, StateReader& r)
     uint32_t pc = r.u32();
     if (pc >= nInstr)
         throw StateFormatError("fused pc out of range");
-    pc_ = pc;
-    spins_ = r.u64();
-    setCtrlWidth(static_cast<size_t>(r.u64()));
-    outPtr_ = readPtrTag(r, f, state_, outWidth());
-    ctrlPtr_ = readPtrTag(r, f, state_, ctrlWidth_);
+    ctx_.pc = pc;
+    ctx_.spins = r.u64();
+    ctx_.ctrlWidth = r.u64();
+    setCtrlWidth(static_cast<size_t>(ctx_.ctrlWidth));
+    ctx_.outPtr = readPtrTag(r, f, state_, outWidth());
+    ctx_.ctrlPtr = readPtrTag(r, f, state_, ctrlWidth_);
 }
 
 void
 FusedNode::supply(Frame& f, const uint8_t* in)
 {
     // advance() only returns NeedInput parked on an external take, so
-    // pc_ identifies exactly where the element goes — the VM's
+    // the pc identifies exactly where the element goes — the VM's
     // supply-then-consume order collapses to one direct write.
-    const Instr& i = prog_->instrs[pc_];
+    const Instr& i = prog_->instrs[ctx_.pc];
     switch (i.op) {
       case Op::TakeExt:
         std::memcpy(loc(f, i.a), in, i.b);
@@ -189,9 +217,21 @@ FusedNode::supply(Frame& f, const uint8_t* in)
 Status
 FusedNode::advance(Frame& f)
 {
+    if (!fn_)
+        return interpret(f);
+    ctx_.fr = f.at(0);
+    frame_ = &f;
+    int rc = fn_(&ctx_);
+    setCtrlWidth(ctx_.ctrlWidth);
+    return static_cast<Status>(rc);
+}
+
+Status
+FusedNode::interpret(Frame& f)
+{
     const Instr* code = prog_->instrs.data();
     const FuseChannel* chans = prog_->channels.data();
-    uint32_t pc = pc_;
+    uint32_t pc = ctx_.pc;
 
 #if defined(__GNUC__) || defined(__clang__)
     // Direct-threaded dispatch; table order MUST match enum class Op.
@@ -219,22 +259,22 @@ FusedNode::advance(Frame& f)
         const Instr& i = code[pc];
         if (regs_[i.c]) {
             regs_[i.c] = 0;
-            spins_ = 0;
+            ctx_.spins = 0;
             ++pc;
             NEXT();
         }
-        pc_ = pc;
+        ctx_.pc = pc;
         return Status::NeedInput;
     }
     OP(TakeManyExt)
     {
         const Instr& i = code[pc];
         if (regs_[i.c] >= static_cast<int64_t>(i.d)) {
-            spins_ = 0;
+            ctx_.spins = 0;
             ++pc;
             NEXT();
         }
-        pc_ = pc;
+        ctx_.pc = pc;
         return Status::NeedInput;
     }
     OP(TakeCh)
@@ -244,12 +284,12 @@ FusedNode::advance(Frame& f)
             std::memcpy(loc(f, i.a), state_.data() + chans[i.c].bufOff,
                         i.b);
             chFull_[i.c] = 0;
-            spins_ = 0;
+            ctx_.spins = 0;
             ++pc;
         } else {
             chConsPc_[i.c] = pc;
             pc = chProdPc_[i.c];
-            spins_ = 0;
+            ctx_.spins = 0;
         }
         NEXT();
     }
@@ -257,14 +297,14 @@ FusedNode::advance(Frame& f)
     {
         const Instr& i = code[pc];
         if (regs_[i.e] >= static_cast<int64_t>(i.d)) {
-            spins_ = 0;
+            ctx_.spins = 0;
             ++pc;
         } else if (chFull_[i.c]) {
             std::memcpy(loc(f, i.a) + regs_[i.e] * i.b,
                         state_.data() + chans[i.c].bufOff, i.b);
             ++regs_[i.e];
             chFull_[i.c] = 0;
-            spins_ = 0;
+            ctx_.spins = 0;
             // pc unchanged: re-run until all n elements are in.
         } else {
             chConsPc_[i.c] = pc;
@@ -274,9 +314,9 @@ FusedNode::advance(Frame& f)
     }
     OP(EmitExt)
     {
-        outPtr_ = loc(f, code[pc].a);
-        spins_ = 0;
-        pc_ = pc + 1;
+        ctx_.outPtr = loc(f, code[pc].a);
+        ctx_.spins = 0;
+        ctx_.pc = pc + 1;
         return Status::Yield;
     }
     OP(EmitChSig)
@@ -285,7 +325,7 @@ FusedNode::advance(Frame& f)
         chFull_[i.a] = 1;
         chProdPc_[i.a] = pc + 1;
         pc = chConsPc_[i.a];
-        spins_ = 0;
+        ctx_.spins = 0;
         NEXT();
     }
     OP(EmitCh)
@@ -295,7 +335,7 @@ FusedNode::advance(Frame& f)
         chFull_[i.c] = 1;
         chProdPc_[i.c] = pc + 1;
         pc = chConsPc_[i.c];
-        spins_ = 0;
+        ctx_.spins = 0;
         NEXT();
     }
     OP(EmitsExt)
@@ -305,10 +345,10 @@ FusedNode::advance(Frame& f)
             pc = i.e;
             NEXT();
         }
-        outPtr_ = loc(f, i.a) + regs_[i.c] * i.b;
+        ctx_.outPtr = loc(f, i.a) + regs_[i.c] * i.b;
         ++regs_[i.c];
-        spins_ = 0;
-        pc_ = pc;  // self-loop: next advance re-runs this instruction
+        ctx_.spins = 0;
+        ctx_.pc = pc;  // self-loop: next advance re-runs this instruction
         return Status::Yield;
     }
     OP(EmitsCh)
@@ -324,7 +364,7 @@ FusedNode::advance(Frame& f)
             chFull_[ch] = 1;
             chProdPc_[ch] = pc;  // self-loop for the next element
             pc = chConsPc_[ch];
-            spins_ = 0;
+            ctx_.spins = 0;
         }
         NEXT();
     }
@@ -432,7 +472,7 @@ FusedNode::advance(Frame& f)
     }
     OP(Spin)
     {
-        if (++spins_ > fuseSpinLimit)
+        if (++ctx_.spins > fuseSpinLimit)
             fatal("repeat: body completed 2^20 times without taking or "
                   "emitting (livelock)");
         ++pc;
@@ -441,14 +481,15 @@ FusedNode::advance(Frame& f)
     OP(Ctrl)
     {
         const Instr& i = code[pc];
-        ctrlPtr_ = i.b ? loc(f, i.a) : nullptr;
+        ctx_.ctrlPtr = i.b ? loc(f, i.a) : nullptr;
+        ctx_.ctrlWidth = i.b;
         setCtrlWidth(i.b);
         ++pc;
         NEXT();
     }
     OP(Halt)
     {
-        pc_ = pc;  // stay parked: a stray advance re-reports Done
+        ctx_.pc = pc;  // stay parked: a stray advance re-reports Done
         return Status::Done;
     }
 

@@ -132,37 +132,24 @@ namespace {
 /**
  * Stage-scoped restart re-arms one failed stage while its neighbors
  * keep their state, which requires the per-stage node boundaries the
- * closure-tree VM backend preserves.  The fused backend collapses runs
- * of operators into single bytecode nodes whose merged state image
- * cannot be re-armed per original stage, so the combination is refused
- * up front with a clear diagnostic instead of degrading silently
- * (docs/ROBUSTNESS.md, "Restart scope support matrix").
+ * closure-tree VM backend preserves.  The fused and native backends
+ * collapse runs of operators into single region nodes whose merged
+ * state image cannot be re-armed per original stage, so the
+ * combination is refused up front with a clear diagnostic instead of
+ * degrading silently (docs/ROBUSTNESS.md, "Restart scope support
+ * matrix").
  */
 void
 checkRestartScope(const CompilerOptions& opt)
 {
-    if (opt.backend == Backend::Fused && opt.restart.enabled() &&
+    if (opt.backend != Backend::Vm && opt.restart.enabled() &&
         opt.restart.scope == RestartScope::Stage)
-        fatalf("--restart-scope stage is not supported with "
-               "--backend=fused: the fused backend merges stages into "
-               "single bytecode nodes, so a single stage cannot be "
-               "re-armed in isolation; use --restart-scope pipeline or "
-               "--backend=vm (docs/ROBUSTNESS.md, \"Restart scope "
-               "support matrix\")");
-    if (opt.backend == Backend::Native && opt.restart.enabled() &&
-        opt.restart.scope == RestartScope::Stage)
-        fatalf("--restart-scope stage is not supported with "
-               "--backend=native: native regions merge stages just like "
-               "the fused backend, so a single stage cannot be re-armed "
-               "in isolation; use --restart-scope pipeline or "
-               "--backend=vm (docs/ROBUSTNESS.md, \"Restart scope "
-               "support matrix\")");
-    if (opt.backend == Backend::Native && opt.checkpoint.enabled())
-        fatalf("--checkpoint is not supported with --backend=native: "
-               "compiled regions do not expose a serializable state "
-               "image; use --backend=fused or --backend=vm for "
-               "checkpointing (docs/ROBUSTNESS.md, \"Checkpointing & "
-               "migration\")");
+        fatalf("--restart-scope stage is not supported with --backend=",
+               opt.backend == Backend::Fused ? "fused" : "native",
+               ": this backend merges stages into single region nodes, "
+               "so a single stage cannot be re-armed in isolation; use "
+               "--restart-scope pipeline or --backend=vm "
+               "(docs/ROBUSTNESS.md, \"Restart scope support matrix\")");
 }
 
 } // namespace
@@ -207,7 +194,8 @@ compilePipeline(const CompPtr& program, const CompilerOptions& opt,
     size_t inW = root->inWidth();
     size_t outW = root->outWidth();
     auto p = std::make_unique<Pipeline>(std::move(root),
-                                        layout.frameSize(), inW, outW);
+                                        layout.frameSize(), inW, outW,
+                                        layout.stateSize());
     p->setRestartPolicy(opt.restart);
     p->setCheckpoint(opt.checkpoint);
     p->setMetrics(std::move(pm));

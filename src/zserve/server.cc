@@ -481,10 +481,12 @@ Server::tryFlushPending(const std::shared_ptr<Session>& s)
 {
     if (s->closing || s->queueClosed)
         return;
-    if (s->quiescing) {
-        // A persist or migration is waiting for this session to park:
-        // hold input back so the worker drains the queue and quiesces.
-        // Anything already pending keeps the socket read-paused.
+    // A persist or migration is waiting for this session to park, or
+    // an adopted restore is not applied yet (a burst that started
+    // before the Checkpoint frame would feed this input to the fresh
+    // pipeline): hold input back.  Anything already pending keeps the
+    // socket read-paused; the worker's wake-up retries the flush.
+    if (s->quiescing || s->restorePending()) {
         if (s->pendingPos < s->pendingIn.size())
             s->readPaused = true;
         return;

@@ -146,6 +146,13 @@ Session::adoptCheckpoint(std::vector<uint8_t> payload)
 }
 
 bool
+Session::restorePending()
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return hasCkpt_;
+}
+
+bool
 Session::persistCheckpoint(std::vector<uint8_t>& out, std::string* err)
 {
     // I/O thread, session parked: the worker-owned pipeline state is

@@ -223,6 +223,10 @@ class Session
      */
     void adoptCheckpoint(std::vector<uint8_t> payload);
 
+    /** An adopted restore the worker has not applied yet (I/O thread:
+     *  input must wait for it). */
+    bool restorePending();
+
     // ---- durable checkpoints / live migration -----------------------
 
     /**

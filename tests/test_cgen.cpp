@@ -15,9 +15,9 @@
  *  - the on-disk shared-object cache: miss-then-hit, corrupt
  *    .so/manifest quarantine + recompile, stale-key misses, cache-key
  *    determinism, and the ziria.cgen.* counters;
- *  - loud compile-time refusals for the unsupported combinations
- *    (--backend=native with stage-scoped restart or checkpointing) and
- *    the snapshot refusal on a bound region.
+ *  - the loud compile-time refusal of --backend=native with
+ *    stage-scoped restart (checkpoint/restore of native regions lives
+ *    in test_checkpoint.cpp).
  *
  * Tests that require real machine code gate on
  * zcgen::compilerAvailable(); without a compiler the backend degrades
@@ -52,7 +52,6 @@
 #include "wifi/tx.h"
 #include "zast/builder.h"
 #include "zcgen/cgen.h"
-#include "zexec/snapshot.h"
 #include "zgen/generator.h"
 #include "zir/compiler.h"
 
@@ -291,6 +290,35 @@ TEST(NativeLowering, MetricsCountersAdvance)
         EXPECT_GE(reg.counter("ziria.cgen.fallbacks").value(),
                   fallbackBefore + 1);
     }
+}
+
+TEST(NativeLowering, TracingReportsRegionsAsCgen)
+{
+    CompilerOptions opt = nativeConf();
+    opt.instrument = true;
+    auto p = compilePipeline(pipe(incBlock(1), incBlock(2)), opt);
+    ASSERT_NE(p->metrics(), nullptr);
+    std::vector<int32_t> in(32, 7);
+    EXPECT_EQ(p->runBytes(intBytes(in)).size(), in.size() * 4);
+
+    ASSERT_EQ(p->metrics()->nodes.size(), 1u);
+    const auto& nm = p->metrics()->nodes.front();
+    EXPECT_EQ(nm.kind, "cgen");
+    EXPECT_EQ(nm.path, "root");
+    EXPECT_GT(nm.advances, 0u);
+}
+
+TEST(NativeLowering, LutApplicationsCountAsHostBridges)
+{
+    // Generated code applies every LUT through zc->hostLut, so an
+    // auto-LUT region is not bridge-free even when every closure
+    // inlines.
+    if (!zcgen::compilerAvailable())
+        GTEST_SKIP() << "no C++ compiler on this host";
+    CompileReport rep;
+    compilePipeline(scramblerBlock(), nativeConf(OptLevel::All), &rep);
+    ASSERT_GT(rep.build.lutsBuilt, 0);
+    EXPECT_GT(rep.cgen.hostBridges, 0);
 }
 
 // ------------------------------------------- differential equivalence
@@ -664,7 +692,7 @@ TEST(CgenCache, CacheKeyHashIsDeterministic)
     EXPECT_NE(zcgen::fnv1a64Hex("a"), zcgen::fnv1a64Hex("b"));
 }
 
-// ----------------------------------------------------- loud refusals
+// ------------------------------------------------------ loud refusal
 
 TEST(NativeRefusals, StageScopedRestartIsRefusedAtCompileTime)
 {
@@ -679,40 +707,6 @@ TEST(NativeRefusals, StageScopedRestartIsRefusedAtCompileTime)
         EXPECT_NE(std::string(e.what()).find("--backend=native"),
                   std::string::npos)
             << e.what();
-        EXPECT_NE(std::string(e.what()).find("docs/ROBUSTNESS.md"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(NativeRefusals, CheckpointIsRefusedAtCompileTime)
-{
-    CompilerOptions opt = nativeConf();
-    opt.checkpoint.interval = 64;
-    try {
-        compilePipeline(incBlock(1), opt);
-        FAIL() << "native + checkpointing must be refused";
-    } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find("--checkpoint"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find("docs/ROBUSTNESS.md"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(NativeRefusals, SnapshotOfBoundRegionIsRefused)
-{
-    if (!zcgen::compilerAvailable())
-        GTEST_SKIP() << "no C++ compiler on this host";
-    CompileReport rep;
-    auto p = compilePipeline(incBlock(1), nativeConf(), &rep);
-    ASSERT_EQ(rep.cgen.fallbacks, 0);
-    try {
-        takeSnapshot(p->root(), p->frame(), 0, 0);
-        FAIL() << "snapshot of a compiled region must be refused";
-    } catch (const FatalError& e) {
         EXPECT_NE(std::string(e.what()).find("docs/ROBUSTNESS.md"),
                   std::string::npos)
             << e.what();

@@ -2,7 +2,8 @@
  * @file
  * Checkpoint tests (ctest labels `recovery`, `checkpoint`): the
  * snapshot/restore round-trip totality contract across every
- * combinator shape × {vm, fused} × O0/O3, the state-io primitives, a
+ * combinator shape × {vm, fused, native} × O0/O3, fused <-> native
+ * portability of one checkpoint, the state-io primitives, a
  * WiFi receiver checkpointed mid-packet, and the checkpointed-restart
  * consumer — a supervised restart that resumes from the last
  * frame-boundary snapshot and reproduces the uninterrupted run's
@@ -33,6 +34,7 @@
 #include "wifi/tx.h"
 #include "zexec/faultpoint.h"
 #include "zexec/nodes.h"
+#include "zcgen/cgen.h"
 #include "zexec/snapshot.h"
 #include "zfuse/fuse.h"
 #include "zir/compiler.h"
@@ -232,56 +234,87 @@ TEST(HostileCheckpoint, NativeRingOutOfBounds)
     expectRestoreRejects(n, w2);
 }
 
+/** The region backends a checkpoint test sweeps on this host. */
+std::vector<Backend>
+regionBackends()
+{
+    std::vector<Backend> v{Backend::Fused};
+    if (zcgen::compilerAvailable())
+        v.push_back(Backend::Native);
+    return v;
+}
+
+const char*
+backendName(Backend be)
+{
+    switch (be) {
+      case Backend::Vm: return "vm";
+      case Backend::Fused: return "fused";
+      case Backend::Native: return "native";
+    }
+    return "?";
+}
+
 TEST(HostileCheckpoint, FusedPcAndPointerOutOfRange)
 {
-    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
-    opt.backend = Backend::Fused;
-    std::unique_ptr<Pipeline> p;
-    for (const Shape& sh : resetShapes()) {
-        auto q = compilePipeline(sh.make(), opt);
-        if (dynamic_cast<FusedNode*>(&q->root())) {
-            p = std::move(q);
-            break;
+    for (Backend be : regionBackends()) {
+        SCOPED_TRACE(backendName(be));
+        CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+        opt.backend = be;
+        std::unique_ptr<Pipeline> p;
+        for (const Shape& sh : resetShapes()) {
+            CompileReport rep;
+            auto q = compilePipeline(sh.make(), opt, &rep);
+            if (dynamic_cast<FusedNode*>(&q->root())) {
+                ASSERT_EQ(rep.cgen.fallbacks, 0);
+                p = std::move(q);
+                break;
+            }
         }
+        ASSERT_TRUE(p) << "no shape lowered to a bare FusedNode root";
+        ASSERT_EQ(static_cast<FusedNode&>(p->root()).bound(),
+                  be == Backend::Native);
+        p->root().start(p->frame());
+        auto snap = takeSnapshot(p->root(), p->frame(), 0, 0);
+
+        // Walk the container to the fused pc field: 24-byte header,
+        // frame image blob, register space, state block, channel pc
+        // table.
+        auto rdU64 = [&](size_t o) {
+            uint64_t v = 0;
+            for (int i = 0; i < 8; ++i)
+                v |= static_cast<uint64_t>(snap[o + i]) << (8 * i);
+            return v;
+        };
+        size_t off = 24;
+        off += 8 + rdU64(off);  // frame image
+        off += 8 + rdU64(off);  // register space
+        off += 8 + rdU64(off);  // state block
+        uint64_t nch = rdU64(off);
+        off += 8 + nch * 9;     // per-channel {prodPc, consPc, full}
+        ASSERT_LE(off + 4, snap.size());
+
+        // Rejected by restore(), before compiled code could reach its
+        // "cgen: bad pc" trap.
+        auto badPc = snap;
+        std::fill(badPc.begin() + static_cast<long>(off),
+                  badPc.begin() + static_cast<long>(off) + 4,
+                  uint8_t{0xff});
+        EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), badPc),
+                     StateFormatError);
+
+        // The out-pointer tag sits after pc (4), spins (8), ctrl width
+        // (8): claim a state-block offset far past the block.
+        size_t tag = off + 4 + 8 + 8;
+        ASSERT_LE(tag + 9, snap.size());
+        auto badPtr = snap;
+        badPtr[tag] = 1;
+        std::fill(badPtr.begin() + static_cast<long>(tag) + 1,
+                  badPtr.begin() + static_cast<long>(tag) + 9,
+                  uint8_t{0xff});
+        EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), badPtr),
+                     StateFormatError);
     }
-    ASSERT_TRUE(p) << "no shape lowered to a bare FusedNode root";
-    p->root().start(p->frame());
-    auto snap = takeSnapshot(p->root(), p->frame(), 0, 0);
-
-    // Walk the container to the fused pc field: 24-byte header, frame
-    // image blob, register space, state block, channel pc table.
-    auto rdU64 = [&](size_t o) {
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(snap[o + i]) << (8 * i);
-        return v;
-    };
-    size_t off = 24;
-    off += 8 + rdU64(off);  // frame image
-    off += 8 + rdU64(off);  // register space
-    off += 8 + rdU64(off);  // state block
-    uint64_t nch = rdU64(off);
-    off += 8 + nch * 9;     // per-channel {prodPc, consPc, full}
-    ASSERT_LE(off + 4, snap.size());
-
-    auto badPc = snap;
-    std::fill(badPc.begin() + static_cast<long>(off),
-              badPc.begin() + static_cast<long>(off) + 4,
-              uint8_t{0xff});
-    EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), badPc),
-                 StateFormatError);
-
-    // The out-pointer tag sits after pc (4), spins (8), ctrl width (8):
-    // claim a state-block offset far past the block.
-    size_t tag = off + 4 + 8 + 8;
-    ASSERT_LE(tag + 9, snap.size());
-    auto badPtr = snap;
-    badPtr[tag] = 1;
-    std::fill(badPtr.begin() + static_cast<long>(tag) + 1,
-              badPtr.begin() + static_cast<long>(tag) + 9,
-              uint8_t{0xff});
-    EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), badPtr),
-                 StateFormatError);
 }
 
 // ------------------------------------------- round-trip totality
@@ -290,11 +323,13 @@ TEST(SnapshotRoundTrip, AllShapesAcrossBackendsAndOptLevels)
 {
     for (const Shape& sh : resetShapes()) {
         for (OptLevel lvl : {OptLevel::None, OptLevel::All}) {
-            for (Backend be : {Backend::Vm, Backend::Fused}) {
+            std::vector<Backend> backends = regionBackends();
+            backends.insert(backends.begin(), Backend::Vm);
+            for (Backend be : backends) {
                 SCOPED_TRACE(
                     std::string(sh.name) + " at OptLevel " +
                     (lvl == OptLevel::None ? "None" : "All") + ", " +
-                    (be == Backend::Vm ? "vm" : "fused"));
+                    backendName(be));
                 CompilerOptions opt = CompilerOptions::forLevel(lvl);
                 opt.backend = be;
                 auto p = compilePipeline(sh.make(), opt);
@@ -325,6 +360,75 @@ TEST(SnapshotRoundTrip, AllShapesAcrossBackendsAndOptLevels)
                     << "restored continuation diverged";
                 EXPECT_EQ(got.consumed, want.consumed);
                 EXPECT_EQ(got.done, want.done);
+            }
+        }
+    }
+}
+
+/**
+ * Compile @p c for @p be; @p bind false leaves native regions unbound
+ * (an unusable cache dir fails the compile) — the fallback a peer
+ * without a working compiler runs.
+ */
+std::unique_ptr<Pipeline>
+compileFor(const CompPtr& c, OptLevel lvl, Backend be, bool bind = true)
+{
+    CompilerOptions opt = CompilerOptions::forLevel(lvl);
+    opt.backend = be;
+    if (!bind)
+        opt.cgenCacheDir = "/dev/null/zcgen";
+    CompileReport rep;
+    auto p = compilePipeline(c, opt, &rep);
+    EXPECT_EQ(rep.cgen.fallbacks, bind ? 0 : rep.cgen.regions);
+    return p;
+}
+
+TEST(SnapshotRoundTrip, PortableAcrossFusedAndNative)
+{
+    // One region state, one snapshot format: a checkpoint taken while
+    // compiled code runs restores into the interpreter and back.
+    if (!zcgen::compilerAvailable())
+        GTEST_SKIP() << "no C++ compiler on this host";
+    struct Leg
+    {
+        const char* name;
+        Backend from;
+        Backend to;
+        bool toBound;
+    };
+    const Leg legs[] = {
+        {"native -> fused", Backend::Native, Backend::Fused, true},
+        {"fused -> native", Backend::Fused, Backend::Native, true},
+        {"native -> unbound native", Backend::Native, Backend::Native,
+         false},
+    };
+    for (const Shape& sh : resetShapes()) {
+        for (OptLevel lvl : {OptLevel::None, OptLevel::All}) {
+            auto vm = compileFor(sh.make(), lvl, Backend::Vm);
+            std::vector<int32_t> in(24 * (vm->inWidth() / 4));
+            for (size_t i = 0; i < in.size(); ++i)
+                in[i] = static_cast<int32_t>(7 * i + 3);
+            auto bytes = intBytes(in);
+            auto want = driveUpTo(*vm, bytes, 0, SIZE_MAX, true);
+
+            for (const Leg& leg : legs) {
+                SCOPED_TRACE(std::string(sh.name) + " at OptLevel " +
+                             (lvl == OptLevel::None ? "None" : "All") +
+                             ", " + leg.name);
+                auto src = compileFor(sh.make(), lvl, leg.from);
+                auto dst =
+                    compileFor(sh.make(), lvl, leg.to, leg.toBound);
+                auto head = driveUpTo(*src, bytes, 0, 5, true);
+                auto snap = takeSnapshot(src->root(), src->frame(),
+                                         head.consumed, 0);
+                restoreSnapshot(dst->root(), dst->frame(), snap);
+                auto tail = driveUpTo(*dst, bytes, head.consumed,
+                                      SIZE_MAX, false);
+                std::vector<uint8_t> got = head.out;
+                got.insert(got.end(), tail.out.begin(), tail.out.end());
+                EXPECT_EQ(got, want.out);
+                EXPECT_EQ(head.consumed + tail.consumed, want.consumed);
+                EXPECT_EQ(tail.done, want.done);
             }
         }
     }
@@ -428,8 +532,7 @@ TEST(SnapshotRoundTrip, WifiRxMidPacketCheckpointDecodesThePacket)
 void
 checkCheckpointedRestart(Backend be, OptLevel lvl)
 {
-    SCOPED_TRACE(std::string(be == Backend::Vm ? "vm" : "fused") +
-                 " at OptLevel " +
+    SCOPED_TRACE(std::string(backendName(be)) + " at OptLevel " +
                  (lvl == OptLevel::None ? "None" : "All"));
     const Shape& sh = resetShapes()[10];  // letvar-accumulator
     ASSERT_STREQ(sh.name, "letvar-accumulator");
@@ -449,7 +552,7 @@ checkCheckpointedRestart(Backend be, OptLevel lvl)
     opt.restart.backoffInitialMs = 1;
     opt.checkpoint.interval = 4;
     auto p = compilePipeline(sh.make(), opt);
-    // vm and fused must agree on the compiled element width for the
+    // Every backend must agree on the compiled element width for the
     // clean run above to be the right oracle.
     ASSERT_EQ(p->inWidth(), clean->inWidth());
 
@@ -483,6 +586,14 @@ TEST(CheckpointedRestart, ByteIdenticalAfterFaultFused)
 {
     checkCheckpointedRestart(Backend::Fused, OptLevel::None);
     checkCheckpointedRestart(Backend::Fused, OptLevel::All);
+}
+
+TEST(CheckpointedRestart, ByteIdenticalAfterFaultNative)
+{
+    if (!zcgen::compilerAvailable())
+        GTEST_SKIP() << "no C++ compiler on this host";
+    checkCheckpointedRestart(Backend::Native, OptLevel::None);
+    checkCheckpointedRestart(Backend::Native, OptLevel::All);
 }
 
 TEST(CheckpointedRestart, PlainRestartDivergesOnStatefulPipelines)

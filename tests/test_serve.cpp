@@ -31,6 +31,7 @@
 #include "support/rng.h"
 #include "wifi/params.h"
 #include "wifi/tx.h"
+#include "zcgen/cgen.h"
 #include "zexec/faultpoint.h"
 #include "zir/compiler.h"
 #include "zparse/parser.h"
@@ -70,10 +71,11 @@ randomBits(size_t n, uint64_t seed)
 }
 
 Server::PipelineFactory
-scramblerFactory()
+scramblerFactory(Backend backend = Backend::Vm)
 {
     CompPtr program = parseComp(kScramblerSrc);
     CompilerOptions opt = CompilerOptions::forLevel(OptLevel::All);
+    opt.backend = backend;
     return [program, opt](uint64_t) {
         return compilePipeline(program, opt, nullptr);
     };
@@ -796,16 +798,20 @@ TEST(Serve, SessionCheckpointRoundTripOffline)
     EXPECT_EQ(got, expect);
 }
 
-TEST(Serve, DrainEmitsCheckpointAndSecondServerResumes)
+/**
+ * The full zero-loss migration story over TCP: server A (built by
+ * @p factoryA) is drained mid-stream (SIGTERM path), hands the client
+ * a Checkpoint frame; the client replays it as the FIRST frame to
+ * server B (built by @p factoryB) and streams the remainder.
+ * Concatenated output must be byte-identical to an uninterrupted solo
+ * run.
+ */
+void
+checkDrainAndResume(const Server::PipelineFactory& factoryA,
+                    const Server::PipelineFactory& factoryB)
 {
-    // The full zero-loss migration story over TCP: server A is drained
-    // mid-stream (SIGTERM path), hands the client a Checkpoint frame;
-    // the client replays it as the FIRST frame to server B and streams
-    // the remainder.  Concatenated output must be byte-identical to an
-    // uninterrupted solo run.
-    auto factory = scramblerFactory();
     auto input = randomBits(4096 * 8, 51);
-    auto expect = soloRun(factory, input);
+    auto expect = soloRun(scramblerFactory(), input);
 
     auto& reg = metrics::Registry::global();
     uint64_t drained0 = reg.counter("server.drain.completed").value();
@@ -814,7 +820,7 @@ TEST(Serve, DrainEmitsCheckpointAndSecondServerResumes)
 
     ServerConfig cfg;
     cfg.workers = 2;
-    Server serverA(factory, cfg);
+    Server serverA(factoryA, cfg);
     serverA.start();
 
     TestClient c1;
@@ -854,7 +860,7 @@ TEST(Serve, DrainEmitsCheckpointAndSecondServerResumes)
         static_cast<size_t>(readU64(ck, 4) + readU64(ck, 20)) * w;
     ASSERT_LE(resumeOff, half);
 
-    Server serverB(factory, cfg);
+    Server serverB(factoryB, cfg);
     serverB.start();
     TestClient c2;
     ASSERT_TRUE(c2.connect(serverB.port()));
@@ -875,6 +881,18 @@ TEST(Serve, DrainEmitsCheckpointAndSecondServerResumes)
     std::vector<uint8_t> got = out1;
     got.insert(got.end(), c2.out.begin(), c2.out.end());
     EXPECT_EQ(got, expect) << "migrated stream diverged from solo run";
+}
+
+TEST(Serve, DrainEmitsCheckpointAndSecondServerResumes)
+{
+    checkDrainAndResume(scramblerFactory(), scramblerFactory());
+    // A native session resumes on a peer without compiled code: the
+    // region state format is the same on both backends.
+    if (zcgen::compilerAvailable()) {
+        SCOPED_TRACE("native -> fused");
+        checkDrainAndResume(scramblerFactory(Backend::Native),
+                            scramblerFactory(Backend::Fused));
+    }
 }
 
 TEST(Serve, DrainLetsFinishedSessionsCompleteNaturally)
