@@ -13,6 +13,7 @@
 #ifndef ZIRIA_SUPPORT_METRICS_H
 #define ZIRIA_SUPPORT_METRICS_H
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -33,22 +34,26 @@ struct Counter
     uint64_t value() const { return n; }
 };
 
-/** Last-value (plus running-max) gauge. */
+/**
+ * Last-value (plus running-max) gauge.  Atomic: one registry gauge may
+ * be set from several threads (e.g. two servers' I/O threads).
+ */
 struct Gauge
 {
-    double v = 0;
-    double maxv = 0;
+    std::atomic<double> v{0};
+    std::atomic<double> maxv{0};
 
     void
     set(double x)
     {
-        v = x;
-        if (x > maxv)
-            maxv = x;
+        v.store(x);
+        double m = maxv.load();
+        while (x > m && !maxv.compare_exchange_weak(m, x)) {
+        }
     }
 
-    double value() const { return v; }
-    double maxValue() const { return maxv; }
+    double value() const { return v.load(); }
+    double maxValue() const { return maxv.load(); }
 };
 
 /**

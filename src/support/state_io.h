@@ -80,6 +80,8 @@ class StateWriter
     void
     bytes(const void* p, size_t n)
     {
+        if (n == 0)
+            return;  // p may be null
         const uint8_t* b = static_cast<const uint8_t*>(p);
         buf_.insert(buf_.end(), b, b + n);
     }
@@ -158,6 +160,8 @@ class StateReader
     bytes(void* out, size_t n)
     {
         need(n, "bytes");
+        if (n == 0)
+            return;  // out may be null
         std::memcpy(out, p_, n);
         p_ += n;
     }

@@ -7,57 +7,28 @@
  * context IS the region's state: FusedNode (zfuse/fuse.h) keeps its pc,
  * spaces and out/ctrl pointers here, points `fr` at the frame before
  * each call, and its bytecode interpreter uses the very same fields.
- * The generated code reads and writes them directly and calls back through the function pointers for closures it could
- * not inline (host bridges), LUTs, and runtime diagnostics (traps throw
- * FatalError host-side so messages match the interpreter byte-for-byte).
+ * The generated code reads and writes them directly and calls back
+ * through the function pointers for closures it could not inline (host
+ * bridges), LUTs, and runtime diagnostics (traps throw FatalError
+ * host-side, through the same callbacks the VM closures use).
  *
- * This struct is mirrored TEXTUALLY into every emitted translation unit
- * (zcgen/emit.cc, kPreamble) — keep the two in lock-step and bump
- * kZrAbiVersion on any layout change; the loader refuses objects whose
- * `zr_abi` symbol disagrees, so a stale cache can never be dereferenced
- * with the wrong layout.
+ * ZrCtx is defined in zexpr/zr_sem.h, and that header's text is the
+ * preamble of every generated unit, so host and generated code compile
+ * one definition.  Bump kZrAbiVersion there on any layout change; the
+ * loader refuses objects whose `zr_abi` symbol disagrees, so a stale
+ * cache can never be dereferenced with the wrong layout.
  */
 #ifndef ZIRIA_ZCGEN_ABI_H
 #define ZIRIA_ZCGEN_ABI_H
 
-#include <cstdint>
+#include "zexpr/zr_sem.h"
 
 namespace ziria {
 namespace zcgen {
 
-constexpr int kZrAbiVersion = 1;
-
-extern "C" {
-
-struct ZrCtx
-{
-    uint8_t* fr;            ///< pipeline frame base
-    uint8_t* st;            ///< region-private state block
-    int64_t* regs;          ///< integer registers
-    uint32_t* chProdPc;     ///< per-channel producer continuation
-    uint32_t* chConsPc;     ///< per-channel consumer continuation
-    uint8_t* chFull;        ///< per-channel occupancy flag
-    uint32_t pc;            ///< parked program counter
-    uint32_t pad_;
-    uint64_t spins;         ///< repeat livelock guard
-    const uint8_t* outPtr;  ///< last yielded element
-    const uint8_t* ctrlPtr; ///< control value after Done
-    uint64_t ctrlWidth;     ///< mutated by the Ctrl instruction
-
-    void* host;             ///< the owning FusedNode
-    void (*hostInto)(void* host, int32_t idx, uint8_t* dst);
-    int64_t (*hostInt)(void* host, int32_t idx);
-    void (*hostAction)(void* host, int32_t idx);
-    void (*hostLut)(void* host, int32_t idx, uint8_t* dst);
-    void (*trapMsg)(void* host, const char* msg);
-    void (*trapIndex)(void* host, int64_t k, int64_t n);
-    void (*trapSlice)(void* host, int64_t k, int64_t kEnd, int64_t n);
-};
-
-/** Signature of a generated region entry point. */
-typedef int (*ZrRegionFn)(ZrCtx*);
-
-} // extern "C"
+using ::kZrAbiVersion;
+using ::ZrCtx;
+using ::ZrRegionFn;
 
 } // namespace zcgen
 } // namespace ziria

@@ -14,14 +14,17 @@
  *
  *  - The *expression emitter* re-emits the closure ASTs recorded by the
  *    lowerer (FuseProgram::intoSrc/intSrc/actionSrc) as straight-line
- *    C++, transcribing zexpr/compile_expr.cc case by case: same
+ *    C++ with the same walk as zexpr/compile_expr.cc and the same
  *    evaluation order (explicit temporaries defeat C++'s unspecified
- *    argument order), same truncation and shift semantics, same runtime
- *    diagnostics (traps call back into the host, which throws the
- *    exact fatalf the interpreter would).  Anything it cannot express
- *    — unknown natives, exotic shapes — throws Unsupported and the
- *    closure is bridged back to the host std::function instead, so
- *    emission never changes semantics, only speed.
+ *    argument order).  It writes no operator semantics itself: every
+ *    load, store, operator, bounds check and native is one call into
+ *    zexpr/zr_sem.h — the header the closures call, whose text is the
+ *    unit's preamble — with kinds and widths passed as literals so -O2
+ *    folds the calls.  Traps call back into the host function the VM
+ *    reaches too.  Anything it cannot express — natives not defined by
+ *    the header, exotic shapes — throws Unsupported and the closure is
+ *    bridged back to the host std::function instead, so emission never
+ *    changes semantics, only speed.
  *
  * Layout note: jumping over C++ initializations is ill-formed, which is
  * why every instruction body lives in its own brace block with the
@@ -29,10 +32,8 @@
  */
 #include "zcgen/emit.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <set>
 
 #include "support/panic.h"
 #include "zast/comp.h"
@@ -40,6 +41,9 @@
 
 namespace ziria {
 namespace zcgen {
+
+/** The text of zexpr/zr_sem.h (generated into the build tree). */
+extern const char kZrSemText[];
 
 namespace {
 
@@ -55,42 +59,24 @@ struct Unsupported
     const char* why;
 };
 
-/** Natives replicated as zr_nat_<name> helpers in the preamble. */
-bool
-knownNative(const std::string& name)
-{
-    static const std::set<std::string> kNames = {
-        "creal",  "cimag",       "mk_complex16", "sin",    "cos",
-        "sqrt",   "exp",         "log",          "atan2",  "cmul16",
-        "cmul_conj16", "cabs2",  "conj16",       "cadd32", "sat16",
-    };
-    return kNames.count(name) != 0;
-}
-
-int
-bitsOfKind(TypeKind k)
-{
-    switch (k) {
-      case TypeKind::Bit:
-      case TypeKind::Bool:
-        return 1;
-      case TypeKind::Int8:
-        return 8;
-      case TypeKind::Int16:
-        return 16;
-      case TypeKind::Int32:
-        return 32;
-      case TypeKind::Int64:
-        return 64;
-      default:
-        throw Unsupported{"bitsOfKind: not integral"};
-    }
-}
-
 std::string
 num(uint64_t v)
 {
     return std::to_string(v);
+}
+
+/** The width literal zr_sem.h takes for integral kind @p k. */
+std::string
+bits(TypeKind k)
+{
+    return num(intBits(k));
+}
+
+/** The component-width literal for complex kind @p k. */
+std::string
+cbits(TypeKind k)
+{
+    return num(complexBits(k));
 }
 
 /** An int64_t literal that round-trips INT64_MIN. */
@@ -103,11 +89,11 @@ intLit(int64_t v)
 }
 
 /**
- * Emits statements for one closure (or a fragment of one region).  All
- * methods transcribe the matching ExprCompiler::compile* case; the
- * returned strings are names of already-computed temporaries, so
- * sequencing the emitted statements reproduces the closures' evaluation
- * order exactly.
+ * Emits statements for one closure (or a fragment of one region).  Each
+ * method walks the AST like the matching ExprCompiler::compile* case and
+ * emits zr_sem.h calls; the returned strings are names of
+ * already-computed temporaries, so sequencing the emitted statements
+ * reproduces the closures' evaluation order exactly.
  */
 class CppEmitter
 {
@@ -175,7 +161,8 @@ class CppEmitter
             line("for (int64_t " + iv + " = " + l + "; " + iv + " < " +
                  h + "; ++" + iv + ") {");
             indented([&] {
-                store(ivk, frAt(ivOff), iv);  // writeIntRaw
+                line("zr_st(" + bits(ivk) + ", " + frAt(ivOff) + ", " + iv +
+                     ");");
                 stmtList(fo.body());
             });
             line("}");
@@ -231,7 +218,7 @@ class CppEmitter
           case ExprKind::Var: {
             size_t off =
                 layout_.add(static_cast<const VarExpr&>(*e).var());
-            return declInt(load(k, frAt(off)));
+            return declInt("zr_ld(" + bits(k) + ", " + frAt(off) + ")");
           }
           case ExprKind::Bin:
             return binInt(static_cast<const BinExpr&>(*e), k);
@@ -240,9 +227,9 @@ class CppEmitter
             std::string sa = intExpr(u.sub());
             switch (u.op()) {
               case UnOp::Neg:
-                return declInt(trunc(k, "(-" + sa + ")"));
+                return declInt("zr_neg(" + bits(k) + ", " + sa + ")");
               case UnOp::BNot:
-                return declInt(trunc(k, "(~" + sa + ")"));
+                return declInt("zr_bnot(" + bits(k) + ", " + sa + ")");
               case UnOp::LNot:
                 return declInt("(int64_t)!" + sa);
             }
@@ -253,21 +240,17 @@ class CppEmitter
             const TypePtr& from = c.sub()->type();
             if (from->isIntegral()) {
                 std::string sa = intExpr(c.sub());
-                return declInt(trunc(k, sa));
+                return declInt("zr_trunc(" + bits(k) + ", " + sa + ")");
             }
             if (!from->isDouble())
                 throw Unsupported{"int cast from non-numeric"};
             std::string sa = dblExpr(c.sub());
-            std::string r = declIntUninit();
-            line("if (!std::isfinite(" + sa + ")) " + r +
-                 " = 0; else " + r + " = " +
-                 trunc(k, "(int64_t)" + sa) + ";");
-            return r;
+            return declInt("zr_d2i(" + bits(k) + ", " + sa + ")");
           }
           case ExprKind::Index:
           case ExprKind::Field: {
             std::string r = refExpr(e);
-            return declInt(load(k, r));
+            return declInt("zr_ld(" + bits(k) + ", " + r + ")");
           }
           case ExprKind::Call:
             return callInt(static_cast<const CallExpr&>(*e), k);
@@ -382,7 +365,7 @@ class CppEmitter
         }
         if (t->isIntegral()) {
             std::string v = intExpr(e);
-            store(t->kind(), dst, v);
+            line("zr_st(" + bits(t->kind()) + ", " + dst + ", " + v + ");");
             return;
         }
         if (t->isDouble()) {
@@ -399,18 +382,11 @@ class CppEmitter
                 const auto& u = static_cast<const UnExpr&>(*e);
                 if (u.op() != UnOp::Neg)
                     throw Unsupported{"unhandled complex unop"};
-                bool c16 = t->kind() == TypeKind::Complex16;
                 std::string ba = declBuf(8);
                 intoExpr(u.sub(), ba);
-                std::string a = declC(c16, ba);
-                std::string r = fresh();
-                line("ZrC32 " + r + " = { -" + a + ".re, -" + a +
-                     ".im };");
-                if (c16) {
-                    line(r + ".re = (int16_t)" + r + ".re;");
-                    line(r + ".im = (int16_t)" + r + ".im;");
-                }
-                storeC(c16, dst, r);
+                std::string a = declC(t->kind(), ba);
+                line("zr_stc(" + cbits(t->kind()) + ", " + dst +
+                     ", zr_cneg(" + a + "));");
                 return;
               }
               case ExprKind::Cast: {
@@ -418,18 +394,13 @@ class CppEmitter
                 const TypePtr& from = c.sub()->type();
                 if (!from->isComplex())
                     throw Unsupported{"complex cast from non-complex"};
-                bool fromC16 = from->kind() == TypeKind::Complex16;
                 std::string ba = declBuf(8);
                 intoExpr(c.sub(), ba);
-                std::string a = declC(fromC16, ba);
-                if (t->kind() == TypeKind::Complex16) {
-                    line("{ int16_t zre = zr_sat16(" + a +
-                         ".re); int16_t zim = zr_sat16(" + a +
-                         ".im); memcpy(" + dst + ", &zre, 2); memcpy(" +
-                         dst + " + 2, &zim, 2); }");
-                } else {
-                    storeC(false, dst, a);
-                }
+                std::string a = declC(from->kind(), ba);
+                if (t->kind() == TypeKind::Complex16)
+                    line("zr_stc(16, " + dst + ", zr_csat16(" + a + "));");
+                else
+                    line("zr_stc(32, " + dst + ", " + a + ");");
                 return;
               }
               default:
@@ -538,8 +509,7 @@ class CppEmitter
             // Index first, bounds check, then the base address —
             // closure order (compileAddr).
             std::string k = intExpr(i.idx());
-            line("if (" + k + " < 0 || " + k + " >= " + num(n) +
-                 ") zr_trap_index(zc, " + k + ", " + num(n) + ");");
+            line("zr_check_index(zc, " + k + ", " + num(n) + ");");
             std::string base = refExpr(i.arr());
             return declPtr(base + " + (size_t)" + k + " * " + num(w));
           }
@@ -549,9 +519,8 @@ class CppEmitter
             long n = s.arr()->type()->len();
             long len = s.sliceLen();
             std::string k = intExpr(s.base());
-            line("if (" + k + " < 0 || " + k + " + " + num(len) +
-                 " > " + num(n) + ") zr_trap_slice(zc, " + k + ", " + k +
-                 " + " + num(len) + ", " + num(n) + ");");
+            line("zr_check_slice(zc, " + k + ", " + num(len) + ", " +
+                 num(n) + ");");
             std::string base = refExpr(s.arr());
             return declPtr(base + " + (size_t)" + k + " * " + num(w));
           }
@@ -643,60 +612,25 @@ class CppEmitter
           }
           case BinOp::Add:
           case BinOp::Sub:
-          case BinOp::Mul: {
-            const char* op = b.op() == BinOp::Add   ? "+"
-                             : b.op() == BinOp::Sub ? "-"
-                                                    : "*";
-            std::string a = intExpr(b.lhs());
-            std::string c = intExpr(b.rhs());
-            std::string raw = "(" + a + " " + op + " " + c + ")";
-            if (k == TypeKind::Int32)
-                return declInt("(int64_t)(int32_t)" + raw);
-            return declInt(trunc(k, raw));
-          }
-          case BinOp::Div: {
-            std::string a = intExpr(b.lhs());
-            std::string c = intExpr(b.rhs());
-            line("if (" + c +
-                 " == 0) zr_trap_msg(zc, \"division by zero\");");
-            std::string r = declIntUninit();
-            line("if (" + c + " == -1) " + r + " = " +
-                 trunc(k, "(-" + a + ")") + "; else " + r + " = " +
-                 trunc(k, "(" + a + " / " + c + ")") + ";");
-            return r;
-          }
-          case BinOp::Rem: {
-            std::string a = intExpr(b.lhs());
-            std::string c = intExpr(b.rhs());
-            line("if (" + c +
-                 " == 0) zr_trap_msg(zc, \"remainder by zero\");");
-            std::string r = declIntUninit();
-            line("if (" + c + " == -1) " + r + " = 0; else " + r +
-                 " = " + trunc(k, "(" + a + " % " + c + ")") + ";");
-            return r;
-          }
-          case BinOp::Shl: {
-            std::string a = intExpr(b.lhs());
-            std::string c = intExpr(b.rhs());
-            int w = bitsOfKind(k);
-            std::string r = declIntUninit();
-            line("if (" + c + " < 0 || " + c + " >= " + num(w) + ") " +
-                 r + " = 0; else " + r + " = " +
-                 trunc(k, "(int64_t)((uint64_t)" + a + " << " + c +
-                              ")") +
-                 ";");
-            return r;
-          }
+          case BinOp::Mul:
+          case BinOp::Shl:
           case BinOp::Shr: {
+            const char* fn = b.op() == BinOp::Add   ? "zr_add("
+                             : b.op() == BinOp::Sub ? "zr_sub("
+                             : b.op() == BinOp::Mul ? "zr_mul("
+                             : b.op() == BinOp::Shl ? "zr_shl("
+                                                    : "zr_shr(";
             std::string a = intExpr(b.lhs());
             std::string c = intExpr(b.rhs());
-            int w = bitsOfKind(k);
-            std::string r = declIntUninit();
-            line("if (" + c + " < 0) " + r + " = 0; else if (" + c +
-                 " >= " + num(w) + ") " + r + " = (" + a +
-                 " < 0 ? -1 : 0); else " + r + " = (" + a + " >> " + c +
-                 ");");
-            return r;
+            return declInt(fn + bits(k) + ", " + a + ", " + c + ")");
+          }
+          case BinOp::Div:
+          case BinOp::Rem: {
+            const char* fn =
+                b.op() == BinOp::Div ? "zr_div(zc, " : "zr_rem(zc, ";
+            std::string a = intExpr(b.lhs());
+            std::string c = intExpr(b.rhs());
+            return declInt(fn + bits(k) + ", " + a + ", " + c + ")");
           }
           case BinOp::BAnd:
           case BinOp::BOr:
@@ -715,52 +649,39 @@ class CppEmitter
     void
     binComplex(const BinExpr& b, const TypePtr& t, const std::string& dst)
     {
-        bool c16 = t->kind() == TypeKind::Complex16;
+        std::string cw = cbits(t->kind());
         std::string ba = declBuf(8);
         intoExpr(b.lhs(), ba);
         if (b.op() == BinOp::Shl || b.op() == BinOp::Shr) {
-            std::string a = declC(c16, ba);
+            std::string a = declC(t->kind(), ba);
             std::string sh = intExpr(b.rhs());
-            std::string s = fresh();
-            line("int " + s + " = (int)" + sh + " & 31;");
-            std::string r = fresh();
-            const char* op = b.op() == BinOp::Shl ? "<<" : ">>";
-            line("ZrC32 " + r + " = { " + a + ".re " + op + " " + s +
-                 ", " + a + ".im " + op + " " + s + " };");
-            storeC(c16, dst, r);
+            const char* fn = b.op() == BinOp::Shl ? "zr_cshl(" : "zr_cshr(";
+            line("zr_stc(" + cw + ", " + dst + ", " + fn + a + ", " + sh +
+                 "));");
             return;
         }
         std::string bb = declBuf(8);
         intoExpr(b.rhs(), bb);
-        std::string a = declC(c16, ba);
-        std::string c = declC(c16, bb);
-        std::string r = fresh();
+        std::string a = declC(t->kind(), ba);
+        std::string c = declC(t->kind(), bb);
+        std::string r;
         switch (b.op()) {
           case BinOp::Add:
-            line("ZrC32 " + r + " = { " + a + ".re + " + c + ".re, " +
-                 a + ".im + " + c + ".im };");
+            r = "zr_cadd(" + a + ", " + c + ")";
             break;
           case BinOp::Sub:
-            line("ZrC32 " + r + " = { " + a + ".re - " + c + ".re, " +
-                 a + ".im - " + c + ".im };");
+            r = "zr_csub(" + a + ", " + c + ")";
             break;
           case BinOp::Mul:
-            line("ZrC32 " + r + " = { " + a + ".re * " + c + ".re - " +
-                 a + ".im * " + c + ".im, " + a + ".re * " + c +
-                 ".im + " + a + ".im * " + c + ".re };");
+            r = "zr_cmul(" + a + ", " + c + ")";
             break;
           default:
-            // The closure fatals at run time after evaluating both
-            // operands; reproduce that.
-            line("zr_trap_msg(zc, \"complex operator not supported\");");
-            line("ZrC32 " + r + " = { 0, 0 };");
+            // The closure traps at run time after evaluating both
+            // operands; so does this.
+            r = "zr_cunsupported(zc)";
             break;
         }
-        if (c16) {
-            line(r + ".re = (int16_t)" + r + ".re;");
-            line(r + ".im = (int16_t)" + r + ".im;");
-        }
-        storeC(c16, dst, r);
+        line("zr_stc(" + cw + ", " + dst + ", " + r + ");");
     }
 
     // ---- calls (prepareCall / compileCall*) --------------------------
@@ -794,9 +715,13 @@ class CppEmitter
     void
     nativeCall(const CallExpr& c, const std::string& dst)
     {
+        // Only a function registered from zr_sem.h has a body the unit
+        // can call; any other native is bridged.
         const std::string& name = c.fun()->name;
-        if (!knownNative(name))
-            throw Unsupported{"unknown native function"};
+        ZrNativeFn fn = zr_native(name.c_str());
+        auto* bound = c.fun()->native.target<ZrNativeFn>();
+        if (!fn || !bound || *bound != fn)
+            throw Unsupported{"native function not in zr_sem.h"};
         std::vector<std::string> refs;
         refs.reserve(c.args().size());
         for (const auto& a : c.args())
@@ -829,7 +754,7 @@ class CppEmitter
         if (c.fun()->isNative()) {
             std::string buf = declBuf(8);
             nativeCall(c, buf);
-            return declInt(load(k, buf));  // readIntRaw
+            return declInt("zr_ld(" + bits(k) + ", " + buf + ")");
         }
         ExprPtr ret = prepare(c);
         if (!ret)
@@ -849,73 +774,6 @@ class CppEmitter
         if (!ret)
             throw Unsupported{"double-typed call with no return"};
         return dblExpr(ret);
-    }
-
-    // ---- load/store/truncate by integral kind ------------------------
-
-    std::string
-    load(TypeKind k, const std::string& p)
-    {
-        switch (k) {
-          case TypeKind::Bit:
-          case TypeKind::Bool:
-            return "(int64_t)*(" + p + ")";
-          case TypeKind::Int8:
-            return "zr_ld8(" + p + ")";
-          case TypeKind::Int16:
-            return "zr_ld16(" + p + ")";
-          case TypeKind::Int32:
-            return "zr_ld32(" + p + ")";
-          case TypeKind::Int64:
-            return "zr_ld64(" + p + ")";
-          default:
-            throw Unsupported{"load: not integral"};
-        }
-    }
-
-    void
-    store(TypeKind k, const std::string& p, const std::string& v)
-    {
-        switch (k) {
-          case TypeKind::Bit:
-          case TypeKind::Bool:
-            line("*(" + p + ") = (uint8_t)(" + v + " & 1);");
-            return;
-          case TypeKind::Int8:
-            line("zr_st8(" + p + ", " + v + ");");
-            return;
-          case TypeKind::Int16:
-            line("zr_st16(" + p + ", " + v + ");");
-            return;
-          case TypeKind::Int32:
-            line("zr_st32(" + p + ", " + v + ");");
-            return;
-          case TypeKind::Int64:
-            line("zr_st64(" + p + ", " + v + ");");
-            return;
-          default:
-            throw Unsupported{"store: not integral"};
-        }
-    }
-
-    std::string
-    trunc(TypeKind k, const std::string& v)
-    {
-        switch (k) {
-          case TypeKind::Bit:
-          case TypeKind::Bool:
-            return "(" + v + " & 1)";
-          case TypeKind::Int8:
-            return "(int64_t)(int8_t)" + v;
-          case TypeKind::Int16:
-            return "(int64_t)(int16_t)" + v;
-          case TypeKind::Int32:
-            return "(int64_t)(int32_t)" + v;
-          case TypeKind::Int64:
-            return v;
-          default:
-            throw Unsupported{"trunc: not integral"};
-        }
     }
 
     // ---- small emission helpers --------------------------------------
@@ -984,19 +842,11 @@ class CppEmitter
     }
 
     std::string
-    declC(bool c16, const std::string& buf)
+    declC(TypeKind k, const std::string& buf)
     {
         std::string r = fresh();
-        line("ZrC32 " + r + " = zr_ldc(" + (c16 ? "1" : "0") + ", " +
-             buf + ");");
+        line("ZrC32 " + r + " = zr_ldc(" + cbits(k) + ", " + buf + ");");
         return r;
-    }
-
-    void
-    storeC(bool c16, const std::string& dst, const std::string& v)
-    {
-        line("zr_stc(" + std::string(c16 ? "1" : "0") + ", " + dst +
-             ", " + v + ");");
     }
 
     std::string
@@ -1041,7 +891,7 @@ class RegionEmitter
         for (size_t i = 0; i < p_.instrs.size(); ++i)
             out_ += "    case " + std::to_string(i) + ": goto L" +
                     std::to_string(i) + ";\n";
-        out_ += "    default: zr_trap_msg(zc, \"cgen: bad pc\"); "
+        out_ += "    default: zr_trap(zc, \"cgen: bad pc\"); "
                 "return 2;\n";
         out_ += "  }\n";
         for (size_t i = 0; i < p_.instrs.size(); ++i)
@@ -1049,7 +899,7 @@ class RegionEmitter
         // A well-formed program never falls off the end (it halts or
         // loops), but give stray `goto L<n>` a defined landing pad.
         out_ += "L" + std::to_string(p_.instrs.size()) + ":\n";
-        out_ += "  zr_trap_msg(zc, \"cgen: pc off end\");\n";
+        out_ += "  zr_trap(zc, \"cgen: pc off end\");\n";
         out_ += "  return 2;\n";
         out_ += "}\n";
         return std::move(out_);
@@ -1252,8 +1102,8 @@ class RegionEmitter
             ln("goto " + next + ";");
             break;
           case Op::IvWrite:
-            storeKind(static_cast<TypeKind>(i.b),
-                      "(fr + " + num(i.a) + ")", "regs[" + num(i.c) + "]");
+            ln("zr_st(" + bits(static_cast<TypeKind>(i.b)) + ", (fr + " +
+               num(i.a) + "), regs[" + num(i.c) + "]);");
             ln("goto " + next + ";");
             break;
           case Op::Jmp:
@@ -1273,9 +1123,8 @@ class RegionEmitter
             ln("if (regs[" + num(i.a) + "] >= regs[" + num(i.b) +
                "]) goto " + next + ";");
             if (i.d != kNoTarget)
-                storeKind(static_cast<TypeKind>(i.e),
-                          "(fr + " + num(i.d) + ")",
-                          "regs[" + num(i.a) + "]");
+                ln("zr_st(" + bits(static_cast<TypeKind>(i.e)) +
+                   ", (fr + " + num(i.d) + "), regs[" + num(i.a) + "]);");
             ln("goto " + label(i.c) + ";");
             break;
           case Op::PipeInit:
@@ -1285,9 +1134,7 @@ class RegionEmitter
             ln("goto " + next + ";");
             break;
           case Op::Spin:
-            ln("if (++spins > 1048576ULL) zr_trap_msg(zc, \"repeat: "
-               "body completed 2^20 times without taking or emitting "
-               "(livelock)\");");
+            ln("zr_spin(zc, &spins);");
             ln("goto " + next + ";");
             break;
           case Op::Ctrl:
@@ -1305,32 +1152,6 @@ class RegionEmitter
         out_ += "}\n";
     }
 
-    /** writeIntRaw by static kind (IvWrite / TimesStep). */
-    void
-    storeKind(TypeKind k, const std::string& p, const std::string& v)
-    {
-        switch (k) {
-          case TypeKind::Bit:
-          case TypeKind::Bool:
-            ln("*" + p + " = (uint8_t)(" + v + " & 1);");
-            return;
-          case TypeKind::Int8:
-            ln("zr_st8(" + p + ", " + v + ");");
-            return;
-          case TypeKind::Int16:
-            ln("zr_st16(" + p + ", " + v + ");");
-            return;
-          case TypeKind::Int32:
-            ln("zr_st32(" + p + ", " + v + ");");
-            return;
-          case TypeKind::Int64:
-            ln("zr_st64(" + p + ", " + v + ");");
-            return;
-          default:
-            panic("cgen: induction variable of non-integral kind");
-        }
-    }
-
     const FuseProgram& p_;
     int idx_;
     FrameLayout& layout_;
@@ -1338,186 +1159,18 @@ class RegionEmitter
     std::string out_;
 };
 
-/**
- * Everything a generated unit needs, with no repo includes: the ZrCtx
- * mirror (keep in lock-step with zcgen/abi.h), load/store helpers, the
- * complex-arithmetic helpers, and the native function bodies
- * (transcribed from zexpr/natives.cc — same libm in-process, so results
- * are bit-identical).
- */
-const char* const kPreamble = R"ZRC(// Generated by ziria zcgen. Do not edit.
-#include <cmath>
-#include <cstdint>
-#include <cstring>
-
-using std::memcpy;
-using std::memmove;
-using std::memset;
-
-extern "C" {
-struct ZrCtx {
-    uint8_t* fr;
-    uint8_t* st;
-    int64_t* regs;
-    uint32_t* chProdPc;
-    uint32_t* chConsPc;
-    uint8_t* chFull;
-    uint32_t pc;
-    uint32_t pad_;
-    uint64_t spins;
-    const uint8_t* outPtr;
-    const uint8_t* ctrlPtr;
-    uint64_t ctrlWidth;
-    void* host;
-    void (*hostInto)(void* host, int32_t idx, uint8_t* dst);
-    int64_t (*hostInt)(void* host, int32_t idx);
-    void (*hostAction)(void* host, int32_t idx);
-    void (*hostLut)(void* host, int32_t idx, uint8_t* dst);
-    void (*trapMsg)(void* host, const char* msg);
-    void (*trapIndex)(void* host, int64_t k, int64_t n);
-    void (*trapSlice)(void* host, int64_t k, int64_t kEnd, int64_t n);
-};
-int zr_abi(void) { return 1; }
-} // extern "C"
-
-static inline void zr_trap_msg(ZrCtx* zc, const char* m)
-{ zc->trapMsg(zc->host, m); }
-static inline void zr_trap_index(ZrCtx* zc, int64_t k, int64_t n)
-{ zc->trapIndex(zc->host, k, n); }
-static inline void zr_trap_slice(ZrCtx* zc, int64_t k, int64_t ke,
-                                 int64_t n)
-{ zc->trapSlice(zc->host, k, ke, n); }
-
-static inline int64_t zr_ld8(const uint8_t* p)
-{ int8_t v; memcpy(&v, p, 1); return v; }
-static inline int64_t zr_ld16(const uint8_t* p)
-{ int16_t v; memcpy(&v, p, 2); return v; }
-static inline int64_t zr_ld32(const uint8_t* p)
-{ int32_t v; memcpy(&v, p, 4); return v; }
-static inline int64_t zr_ld64(const uint8_t* p)
-{ int64_t v; memcpy(&v, p, 8); return v; }
-static inline void zr_st8(uint8_t* p, int64_t v)
-{ int8_t x = (int8_t)v; memcpy(p, &x, 1); }
-static inline void zr_st16(uint8_t* p, int64_t v)
-{ int16_t x = (int16_t)v; memcpy(p, &x, 2); }
-static inline void zr_st32(uint8_t* p, int64_t v)
-{ int32_t x = (int32_t)v; memcpy(p, &x, 4); }
-static inline void zr_st64(uint8_t* p, int64_t v)
-{ memcpy(p, &v, 8); }
-static inline double zr_ldd(const uint8_t* p)
-{ double v; memcpy(&v, p, 8); return v; }
-static inline void zr_std(uint8_t* p, double v)
-{ memcpy(p, &v, 8); }
-
-struct ZrC32 { int32_t re, im; };
-static inline ZrC32 zr_ldc(int c16, const uint8_t* p)
-{
-    if (c16) {
-        int16_t re, im;
-        memcpy(&re, p, 2);
-        memcpy(&im, p + 2, 2);
-        return ZrC32{re, im};
-    }
-    ZrC32 c;
-    memcpy(&c, p, 8);
-    return c;
-}
-static inline void zr_stc(int c16, uint8_t* p, ZrC32 v)
-{
-    if (c16) {
-        int16_t re = (int16_t)v.re, im = (int16_t)v.im;
-        memcpy(p, &re, 2);
-        memcpy(p + 2, &im, 2);
-    } else {
-        memcpy(p, &v, 8);
-    }
-}
-static inline int16_t zr_sat16(int32_t v)
-{
-    if (v > 32767) return 32767;
-    if (v < -32768) return -32768;
-    return (int16_t)v;
-}
-
-// --- native expression functions (zexpr/natives.cc) -------------------
-static inline ZrC32 zr_rdc16(const uint8_t* p)
-{ int16_t re, im; memcpy(&re, p, 2); memcpy(&im, p + 2, 2);
-  return ZrC32{re, im}; }
-static inline void zr_wrc16(uint8_t* r, int16_t re, int16_t im)
-{ memcpy(r, &re, 2); memcpy(r + 2, &im, 2); }
-
-static void zr_nat_sin(const uint8_t* const* a, uint8_t* r)
-{ double v = std::sin(zr_ldd(a[0])); zr_std(r, v); }
-static void zr_nat_cos(const uint8_t* const* a, uint8_t* r)
-{ double v = std::cos(zr_ldd(a[0])); zr_std(r, v); }
-static void zr_nat_sqrt(const uint8_t* const* a, uint8_t* r)
-{ double v = std::sqrt(zr_ldd(a[0])); zr_std(r, v); }
-static void zr_nat_exp(const uint8_t* const* a, uint8_t* r)
-{ double v = std::exp(zr_ldd(a[0])); zr_std(r, v); }
-static void zr_nat_log(const uint8_t* const* a, uint8_t* r)
-{ double v = std::log(zr_ldd(a[0])); zr_std(r, v); }
-static void zr_nat_atan2(const uint8_t* const* a, uint8_t* r)
-{ double v = std::atan2(zr_ldd(a[0]), zr_ldd(a[1])); zr_std(r, v); }
-static void zr_nat_cmul16(const uint8_t* const* a, uint8_t* r)
-{
-    ZrC32 x = zr_rdc16(a[0]);
-    ZrC32 y = zr_rdc16(a[1]);
-    int s = (int)zr_ld32(a[2]) & 31;
-    int32_t re = (x.re * y.re - x.im * y.im) >> s;
-    int32_t im = (x.re * y.im + x.im * y.re) >> s;
-    zr_wrc16(r, (int16_t)re, (int16_t)im);
-}
-static void zr_nat_cmul_conj16(const uint8_t* const* a, uint8_t* r)
-{
-    ZrC32 x = zr_rdc16(a[0]);
-    ZrC32 y = zr_rdc16(a[1]);
-    int s = (int)zr_ld32(a[2]) & 31;
-    int32_t re = (x.re * y.re + x.im * y.im) >> s;
-    int32_t im = (x.im * y.re - x.re * y.im) >> s;
-    zr_wrc16(r, (int16_t)re, (int16_t)im);
-}
-static void zr_nat_cabs2(const uint8_t* const* a, uint8_t* r)
-{
-    ZrC32 x = zr_rdc16(a[0]);
-    int32_t v = x.re * x.re + x.im * x.im;
-    memcpy(r, &v, 4);
-}
-static void zr_nat_conj16(const uint8_t* const* a, uint8_t* r)
-{
-    ZrC32 x = zr_rdc16(a[0]);
-    zr_wrc16(r, (int16_t)x.re, (int16_t)-x.im);
-}
-static void zr_nat_cadd32(const uint8_t* const* a, uint8_t* r)
-{
-    ZrC32 x, y;
-    memcpy(&x, a[0], 8);
-    memcpy(&y, a[1], 8);
-    ZrC32 v{x.re + y.re, x.im + y.im};
-    memcpy(r, &v, 8);
-}
-static void zr_nat_sat16(const uint8_t* const* a, uint8_t* r)
-{
-    int32_t v = (int32_t)zr_ld32(a[0]);
-    int16_t x = v > 32767 ? 32767
-                          : (v < -32768 ? (int16_t)-32768 : (int16_t)v);
-    memcpy(r, &x, 2);
-}
-static void zr_nat_creal(const uint8_t* const* a, uint8_t* r)
-{ memcpy(r, a[0], 2); }
-static void zr_nat_cimag(const uint8_t* const* a, uint8_t* r)
-{ memcpy(r, a[0] + 2, 2); }
-static void zr_nat_mk_complex16(const uint8_t* const* a, uint8_t* r)
-{ memcpy(r, a[0], 2); memcpy(r + 2, a[1], 2); }
-
-)ZRC";
-
 } // namespace
 
 EmitUnit
 emitUnit(const std::vector<const FuseProgram*>& progs, ExprCompiler& ec)
 {
+    // The preamble: zr_sem.h verbatim, then the ABI version symbol.
     EmitUnit u;
-    u.source = kPreamble;
+    u.source = "// Generated by ziria zcgen. Do not edit.\n";
+    u.source += kZrSemText;
+    u.source += "\nusing std::memcpy;\nusing std::memmove;\n"
+                "using std::memset;\n\n"
+                "extern \"C\" int zr_abi(void) { return kZrAbiVersion; }\n\n";
     for (size_t i = 0; i < progs.size(); ++i) {
         RegionEmitter re(*progs[i], static_cast<int>(i), ec.layout());
         u.source += re.emit();

@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "support/metrics.h"
-#include "support/panic.h"
 #include "zcgen/abi.h"
 #include "zcgen/emit.h"
 
@@ -56,29 +55,6 @@ void
 cbLut(void* host, int32_t idx, uint8_t* dst)
 {
     node(host).program().luts[idx]->apply(node(host).frame(), dst);
-}
-
-// Traps throw host-side so diagnostics match the interpreter and the
-// closures byte-for-byte.  The generated objects are compiled with
-// exceptions enabled by the same toolchain, so FatalError unwinds
-// cleanly through the .so frames.
-void
-cbTrapMsg(void*, const char* msg)
-{
-    fatal(msg);
-}
-
-void
-cbTrapIndex(void*, int64_t k, int64_t n)
-{
-    fatalf("array index out of bounds: ", k, " not in [0, ", n, ")");
-}
-
-void
-cbTrapSlice(void*, int64_t k, int64_t kEnd, int64_t n)
-{
-    fatalf("slice out of bounds: [", k, ", ", kEnd, ") not within [0, ",
-           n, ")");
 }
 
 } // namespace
@@ -152,9 +128,6 @@ buildNodeNative(const CompPtr& c, ExprCompiler& ec,
     host.hostInt = &cbInt;
     host.hostAction = &cbAction;
     host.hostLut = &cbLut;
-    host.trapMsg = &cbTrapMsg;
-    host.trapIndex = &cbTrapIndex;
-    host.trapSlice = &cbTrapSlice;
     for (size_t i = 0; i < regions.size(); ++i) {
         std::string sym = "zr_region_" + std::to_string(i);
         void* fp = jr.lib->sym(sym.c_str());

@@ -1,6 +1,7 @@
 #include "zexec/nodes.h"
 
 #include "support/panic.h"
+#include "zexpr/compile_expr.h"
 #include "ztype/value.h"
 
 namespace ziria {
@@ -191,14 +192,6 @@ IfNode::supply(Frame& f, const uint8_t* in)
 
 // -------------------------------------------------------------- Repeat
 
-namespace {
-
-/// Iterations a repeat body may complete without any I/O before we flag a
-/// livelock (a body that neither takes nor emits would spin forever).
-constexpr uint64_t repeatSpinLimit = 1u << 20;
-
-} // namespace
-
 RepeatNode::RepeatNode(NodePtr body) : body_(std::move(body))
 {
     inWidth_ = body_->inWidth();
@@ -229,9 +222,7 @@ RepeatNode::advance(Frame& f)
             return s;
         }
         // Body halted: re-initialize and continue (repeat semantics).
-        if (++spins_ > repeatSpinLimit)
-            fatal("repeat: body completed 2^20 times without taking or "
-                  "emitting (livelock)");
+        zr_spin(hostTraps(), &spins_);
         body_->start(f);
     }
 }

@@ -1,6 +1,6 @@
 #include "zexpr/compile_expr.h"
 
-#include <cmath>
+#include <type_traits>
 
 #include "support/panic.h"
 #include "zast/printer.h"
@@ -8,152 +8,112 @@
 
 namespace ziria {
 
-int64_t
-truncToKind(TypeKind k, int64_t v)
-{
-    switch (k) {
-      case TypeKind::Bit:
-      case TypeKind::Bool:
-        return v & 1;
-      case TypeKind::Int8:
-        return static_cast<int8_t>(v);
-      case TypeKind::Int16:
-        return static_cast<int16_t>(v);
-      case TypeKind::Int32:
-        return static_cast<int32_t>(v);
-      case TypeKind::Int64:
-        return v;
-      default:
-        panic("truncToKind: not integral");
-    }
-}
-
 namespace {
 
-int
-bitsOfKind(TypeKind k)
-{
-    switch (k) {
-      case TypeKind::Bit:
-      case TypeKind::Bool:
-        return 1;
-      case TypeKind::Int8:
-        return 8;
-      case TypeKind::Int16:
-        return 16;
-      case TypeKind::Int32:
-        return 32;
-      case TypeKind::Int64:
-        return 64;
-      default:
-        panic("bitsOfKind: not integral");
-    }
-}
-
-template <typename T>
-int64_t
-loadScalar(const uint8_t* p)
-{
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    return static_cast<int64_t>(v);
-}
-
-template <typename T>
+// The host trap callbacks.  FatalError also unwinds cleanly through
+// natively generated frames: the JIT compiles with exceptions enabled.
 void
-storeScalar(uint8_t* p, int64_t v)
+trapMsg(void*, const char* msg)
 {
-    T x = static_cast<T>(v);
-    std::memcpy(p, &x, sizeof(T));
+    fatal(msg);
 }
 
-/** Build a load closure specialized to the integral kind. */
-EvalInt
-makeLoad(TypeKind k, RefFn ref)
+void
+trapIndex(void*, int64_t k, int64_t n)
 {
-    switch (k) {
-      case TypeKind::Bit:
-      case TypeKind::Bool:
-        return [ref](Frame& f) -> int64_t { return *ref(f); };
-      case TypeKind::Int8:
-        return [ref](Frame& f) { return loadScalar<int8_t>(ref(f)); };
-      case TypeKind::Int16:
-        return [ref](Frame& f) { return loadScalar<int16_t>(ref(f)); };
-      case TypeKind::Int32:
-        return [ref](Frame& f) { return loadScalar<int32_t>(ref(f)); };
-      case TypeKind::Int64:
-        return [ref](Frame& f) { return loadScalar<int64_t>(ref(f)); };
-      default:
-        panic("makeLoad: not integral");
-    }
+    fatalf("array index out of bounds: ", k, " not in [0, ", n, ")");
 }
 
-/** Build a store-into-dst closure specialized to the integral kind. */
-EvalInto
-makeStore(TypeKind k, EvalInt val)
+void
+trapSlice(void*, int64_t k, int64_t kEnd, int64_t n)
 {
-    switch (k) {
-      case TypeKind::Bit:
-      case TypeKind::Bool:
-        return [val](Frame& f, uint8_t* dst) {
-            *dst = static_cast<uint8_t>(val(f) & 1);
-        };
-      case TypeKind::Int8:
-        return [val](Frame& f, uint8_t* dst) {
-            storeScalar<int8_t>(dst, val(f));
-        };
-      case TypeKind::Int16:
-        return [val](Frame& f, uint8_t* dst) {
-            storeScalar<int16_t>(dst, val(f));
-        };
-      case TypeKind::Int32:
-        return [val](Frame& f, uint8_t* dst) {
-            storeScalar<int32_t>(dst, val(f));
-        };
-      case TypeKind::Int64:
-        return [val](Frame& f, uint8_t* dst) {
-            storeScalar<int64_t>(dst, val(f));
-        };
-      default:
-        panic("makeStore: not integral");
-    }
+    fatalf("slice out of bounds: [", k, ", ", kEnd, ") not within [0, ",
+           n, ")");
 }
 
-Complex32
-loadComplex(const TypePtr& t, const uint8_t* p)
+constexpr ZrCtx
+makeHostTraps()
 {
-    if (t->kind() == TypeKind::Complex16) {
-        Complex16 c;
-        std::memcpy(&c, p, 4);
-        return Complex32{c.re, c.im};
-    }
-    Complex32 c;
-    std::memcpy(&c, p, 8);
+    ZrCtx c{};
+    c.trapMsg = &trapMsg;
+    c.trapIndex = &trapIndex;
+    c.trapSlice = &trapSlice;
     return c;
 }
 
-void
-storeComplex(const TypePtr& t, uint8_t* p, Complex32 v)
+constexpr ZrCtx kHostTraps = makeHostTraps();
+
+/**
+ * Call @p make with the width of integral kind @p k as a compile-time
+ * constant, so each closure body it builds passes zr_sem.h a literal
+ * width and the header's switch folds away.
+ */
+template <typename Make>
+auto
+byWidth(TypeKind k, Make&& make)
 {
-    if (t->kind() == TypeKind::Complex16) {
-        Complex16 c{static_cast<int16_t>(v.re), static_cast<int16_t>(v.im)};
-        std::memcpy(p, &c, 4);
-    } else {
-        std::memcpy(p, &v, 8);
+    switch (intBits(k)) {
+      case 1: return make(std::integral_constant<int, 1>{});
+      case 8: return make(std::integral_constant<int, 8>{});
+      case 16: return make(std::integral_constant<int, 16>{});
+      case 32: return make(std::integral_constant<int, 32>{});
+      default: return make(std::integral_constant<int, 64>{});
     }
 }
 
-int16_t
-sat16(int32_t v)
+using IntOp = int64_t (*)(int w, int64_t a, int64_t b);
+
+int64_t
+divOp(int w, int64_t a, int64_t b)
 {
-    if (v > 32767)
-        return 32767;
-    if (v < -32768)
-        return -32768;
-    return static_cast<int16_t>(v);
+    return zr_div(&kHostTraps, w, a, b);
+}
+
+int64_t
+remOp(int w, int64_t a, int64_t b)
+{
+    return zr_rem(&kHostTraps, w, a, b);
+}
+
+/** A binary closure: both operands left to right, then @p Op. */
+template <IntOp Op>
+EvalInt
+intBin(TypeKind k, const EvalInt& la, const EvalInt& ra)
+{
+    return byWidth(k, [&](auto w) -> EvalInt {
+        return [la, ra](Frame& f) -> int64_t {
+            int64_t a = la(f);
+            int64_t b = ra(f);
+            return Op(decltype(w)::value, a, b);
+        };
+    });
+}
+
+EvalInt
+makeLoad(TypeKind k, RefFn ref)
+{
+    return byWidth(k, [&](auto w) -> EvalInt {
+        return [ref](Frame& f) { return zr_ld(decltype(w)::value, ref(f)); };
+    });
+}
+
+EvalInto
+makeStore(TypeKind k, EvalInt val)
+{
+    return byWidth(k, [&](auto w) -> EvalInto {
+        return [val](Frame& f, uint8_t* dst) {
+            zr_st(decltype(w)::value, dst, val(f));
+        };
+    });
 }
 
 } // namespace
+
+const ZrCtx*
+hostTraps()
+{
+    return &kHostTraps;
+}
 
 // -----------------------------------------------------------------------
 // Integral expressions
@@ -174,22 +134,11 @@ ExprCompiler::compileInt(const ExprPtr& e)
       case ExprKind::Var: {
         const auto& v = static_cast<const VarExpr&>(*e).var();
         size_t off = layout_.add(v);
-        switch (k) {
-          case TypeKind::Bit:
-          case TypeKind::Bool:
-            return [off](Frame& f) -> int64_t { return *f.at(off); };
-          case TypeKind::Int8:
-            return [off](Frame& f) { return loadScalar<int8_t>(f.at(off)); };
-          case TypeKind::Int16:
-            return
-                [off](Frame& f) { return loadScalar<int16_t>(f.at(off)); };
-          case TypeKind::Int32:
-            return
-                [off](Frame& f) { return loadScalar<int32_t>(f.at(off)); };
-          default:
-            return
-                [off](Frame& f) { return loadScalar<int64_t>(f.at(off)); };
-        }
+        return byWidth(k, [off](auto w) -> EvalInt {
+            return [off](Frame& f) {
+                return zr_ld(decltype(w)::value, f.at(off));
+            };
+        });
       }
       case ExprKind::Bin: {
         const auto& b = static_cast<const BinExpr&>(*e);
@@ -307,146 +256,57 @@ ExprCompiler::compileInt(const ExprPtr& e)
                 return la(f) ? 1 : ra(f);
             };
           }
-          case BinOp::Add: {
-            EvalInt la = compileInt(b.lhs());
-            EvalInt ra = compileInt(b.rhs());
-            if (k == TypeKind::Int32) {
-                return [la, ra](Frame& f) -> int64_t {
-                    int64_t a = la(f);
-                    int64_t b = ra(f);
-                    return static_cast<int32_t>(a + b);
-                };
-            }
-            return [la, ra, k](Frame& f) {
-                int64_t a = la(f);
-                int64_t b = ra(f);
-                return truncToKind(k, a + b);
-            };
-          }
-          case BinOp::Sub: {
-            EvalInt la = compileInt(b.lhs());
-            EvalInt ra = compileInt(b.rhs());
-            if (k == TypeKind::Int32) {
-                return [la, ra](Frame& f) -> int64_t {
-                    int64_t a = la(f);
-                    int64_t b = ra(f);
-                    return static_cast<int32_t>(a - b);
-                };
-            }
-            return [la, ra, k](Frame& f) {
-                int64_t a = la(f);
-                int64_t b = ra(f);
-                return truncToKind(k, a - b);
-            };
-          }
-          case BinOp::Mul: {
-            EvalInt la = compileInt(b.lhs());
-            EvalInt ra = compileInt(b.rhs());
-            if (k == TypeKind::Int32) {
-                return [la, ra](Frame& f) -> int64_t {
-                    int64_t a = la(f);
-                    int64_t b = ra(f);
-                    return static_cast<int32_t>(a * b);
-                };
-            }
-            return [la, ra, k](Frame& f) {
-                int64_t a = la(f);
-                int64_t b = ra(f);
-                return truncToKind(k, a * b);
-            };
-          }
-          case BinOp::Div: {
-            EvalInt la = compileInt(b.lhs());
-            EvalInt ra = compileInt(b.rhs());
-            return EvalInt([la, ra, k](Frame& f) -> int64_t {
-                int64_t n = la(f);
-                int64_t d = ra(f);
-                if (d == 0)
-                    fatal("division by zero");
-                if (d == -1)
-                    return truncToKind(k, -n);
-                return truncToKind(k, n / d);
-            });
-          }
-          case BinOp::Rem: {
-            EvalInt la = compileInt(b.lhs());
-            EvalInt ra = compileInt(b.rhs());
-            return EvalInt([la, ra, k](Frame& f) -> int64_t {
-                int64_t n = la(f);
-                int64_t d = ra(f);
-                if (d == 0)
-                    fatal("remainder by zero");
-                if (d == -1)
-                    return 0;
-                return truncToKind(k, n % d);
-            });
-          }
-          case BinOp::Shl: {
-            EvalInt la = compileInt(b.lhs());
-            EvalInt ra = compileInt(b.rhs());
-            int w = bitsOfKind(k);
-            return [la, ra, k, w](Frame& f) {
-                int64_t v = la(f);
-                int64_t s = ra(f);
-                if (s < 0 || s >= w)
-                    return static_cast<int64_t>(0);
-                return truncToKind(
-                    k,
-                    static_cast<int64_t>(static_cast<uint64_t>(v) << s));
-            };
-          }
-          case BinOp::Shr: {
-            EvalInt la = compileInt(b.lhs());
-            EvalInt ra = compileInt(b.rhs());
-            int w = bitsOfKind(k);
-            return [la, ra, w](Frame& f) -> int64_t {
-                int64_t v = la(f);
-                int64_t s = ra(f);
-                if (s < 0)
-                    return 0;
-                if (s >= w)
-                    return v < 0 ? -1 : 0;
-                return v >> s;
-            };
-          }
-          case BinOp::BAnd: {
-            EvalInt la = compileInt(b.lhs());
-            EvalInt ra = compileInt(b.rhs());
+          default:
+            break;  // arithmetic and bitwise operators below
+        }
+        EvalInt la = compileInt(b.lhs());
+        EvalInt ra = compileInt(b.rhs());
+        switch (b.op()) {
+          case BinOp::Add: return intBin<zr_add>(k, la, ra);
+          case BinOp::Sub: return intBin<zr_sub>(k, la, ra);
+          case BinOp::Mul: return intBin<zr_mul>(k, la, ra);
+          case BinOp::Div: return intBin<divOp>(k, la, ra);
+          case BinOp::Rem: return intBin<remOp>(k, la, ra);
+          case BinOp::Shl: return intBin<zr_shl>(k, la, ra);
+          case BinOp::Shr: return intBin<zr_shr>(k, la, ra);
+          case BinOp::BAnd:
             return [la, ra](Frame& f) {
                 int64_t a = la(f);
                 int64_t b = ra(f);
                 return a & b;
             };
-          }
-          case BinOp::BOr: {
-            EvalInt la = compileInt(b.lhs());
-            EvalInt ra = compileInt(b.rhs());
+          case BinOp::BOr:
             return [la, ra](Frame& f) {
                 int64_t a = la(f);
                 int64_t b = ra(f);
                 return a | b;
             };
-          }
-          case BinOp::BXor: {
-            EvalInt la = compileInt(b.lhs());
-            EvalInt ra = compileInt(b.rhs());
+          case BinOp::BXor:
             return [la, ra](Frame& f) {
                 int64_t a = la(f);
                 int64_t b = ra(f);
                 return a ^ b;
             };
-          }
+          default:
+            panic("compileInt: unhandled binop");
         }
-        panic("compileInt: unhandled binop");
       }
       case ExprKind::Un: {
         const auto& u = static_cast<const UnExpr&>(*e);
         EvalInt sa = compileInt(u.sub());
         switch (u.op()) {
           case UnOp::Neg:
-            return [sa, k](Frame& f) { return truncToKind(k, -sa(f)); };
+            return byWidth(k, [&](auto w) -> EvalInt {
+                return [sa](Frame& f) {
+                    return zr_neg(decltype(w)::value, sa(f));
+                };
+            });
           case UnOp::BNot:
-            return [sa, k](Frame& f) { return truncToKind(k, ~sa(f)); };
+            return byWidth(k, [&](auto w) -> EvalInt {
+                return [sa](Frame& f) {
+                    return zr_bnot(decltype(w)::value, sa(f));
+                };
+            });
           case UnOp::LNot:
             return [sa](Frame& f) -> int64_t { return !sa(f); };
         }
@@ -457,16 +317,19 @@ ExprCompiler::compileInt(const ExprPtr& e)
         const TypePtr& from = c.sub()->type();
         if (from->isIntegral()) {
             EvalInt sa = compileInt(c.sub());
-            return [sa, k](Frame& f) { return truncToKind(k, sa(f)); };
+            return byWidth(k, [&](auto w) -> EvalInt {
+                return [sa](Frame& f) {
+                    return zr_trunc(decltype(w)::value, sa(f));
+                };
+            });
         }
         ZIRIA_ASSERT(from->isDouble());
         EvalDbl sa = compileDbl(c.sub());
-        return [sa, k](Frame& f) {
-            double v = sa(f);
-            if (!std::isfinite(v))
-                return static_cast<int64_t>(0);
-            return truncToKind(k, static_cast<int64_t>(v));
-        };
+        return byWidth(k, [&](auto w) -> EvalInt {
+            return [sa](Frame& f) {
+                return zr_d2i(decltype(w)::value, sa(f));
+            };
+        });
       }
       case ExprKind::Index:
       case ExprKind::Field: {
@@ -502,11 +365,7 @@ ExprCompiler::compileDbl(const ExprPtr& e)
       }
       case ExprKind::Var: {
         size_t off = layout_.add(static_cast<const VarExpr&>(*e).var());
-        return [off](Frame& f) {
-            double v;
-            std::memcpy(&v, f.at(off), 8);
-            return v;
-        };
+        return [off](Frame& f) { return zr_ldd(f.at(off)); };
       }
       case ExprKind::Bin: {
         const auto& b = static_cast<const BinExpr&>(*e);
@@ -556,11 +415,7 @@ ExprCompiler::compileDbl(const ExprPtr& e)
       case ExprKind::Index:
       case ExprKind::Field: {
         RefFn r = compileRef(e);
-        return [r](Frame& f) {
-            double v;
-            std::memcpy(&v, r(f), 8);
-            return v;
-        };
+        return [r](Frame& f) { return zr_ldd(r(f)); };
       }
       case ExprKind::Call:
         return compileCallDbl(static_cast<const CallExpr&>(*e));
@@ -593,99 +448,74 @@ ExprCompiler::compileInto(const ExprPtr& e)
         return makeStore(t->kind(), compileInt(e));
     if (t->isDouble()) {
         EvalDbl d = compileDbl(e);
-        return [d](Frame& f, uint8_t* dst) {
-            double v = d(f);
-            std::memcpy(dst, &v, 8);
-        };
+        return [d](Frame& f, uint8_t* dst) { zr_std(dst, d(f)); };
     }
     if (t->isComplex()) {
+        int cw = complexBits(t->kind());
         switch (e->kind()) {
           case ExprKind::Bin: {
             const auto& b = static_cast<const BinExpr&>(*e);
             EvalInto la = compileInto(b.lhs());
-            bool c16 = t->kind() == TypeKind::Complex16;
-            TypePtr tt = t;
             if (b.op() == BinOp::Shl || b.op() == BinOp::Shr) {
                 EvalInt sh = compileInt(b.rhs());
                 bool left = b.op() == BinOp::Shl;
-                return [la, sh, left, tt](Frame& f, uint8_t* dst) {
+                return [la, sh, left, cw](Frame& f, uint8_t* dst) {
                     uint8_t ba[8];
                     la(f, ba);
-                    Complex32 a = loadComplex(tt, ba);
-                    int s = static_cast<int>(sh(f)) & 31;
-                    Complex32 r = left ? Complex32{a.re << s, a.im << s}
-                                       : Complex32{a.re >> s, a.im >> s};
-                    storeComplex(tt, dst, r);
+                    ZrC32 a = zr_ldc(cw, ba);
+                    int64_t s = sh(f);
+                    zr_stc(cw, dst, left ? zr_cshl(a, s) : zr_cshr(a, s));
                 };
             }
             EvalInto ra = compileInto(b.rhs());
             BinOp op = b.op();
-            return [la, ra, op, c16, tt](Frame& f, uint8_t* dst) {
+            return [la, ra, op, cw](Frame& f, uint8_t* dst) {
                 uint8_t ba[8], bb[8];
                 la(f, ba);
                 ra(f, bb);
-                Complex32 a = loadComplex(tt, ba);
-                Complex32 b2 = loadComplex(tt, bb);
-                Complex32 r;
+                ZrC32 a = zr_ldc(cw, ba);
+                ZrC32 c = zr_ldc(cw, bb);
                 switch (op) {
                   case BinOp::Add:
-                    r = {a.re + b2.re, a.im + b2.im};
-                    break;
+                    zr_stc(cw, dst, zr_cadd(a, c));
+                    return;
                   case BinOp::Sub:
-                    r = {a.re - b2.re, a.im - b2.im};
-                    break;
+                    zr_stc(cw, dst, zr_csub(a, c));
+                    return;
                   case BinOp::Mul:
-                    r = {a.re * b2.re - a.im * b2.im,
-                         a.re * b2.im + a.im * b2.re};
-                    break;
+                    zr_stc(cw, dst, zr_cmul(a, c));
+                    return;
                   default:
-                    fatal("complex operator not supported");
+                    zr_stc(cw, dst, zr_cunsupported(&kHostTraps));
                 }
-                if (c16) {
-                    r.re = static_cast<int16_t>(r.re);
-                    r.im = static_cast<int16_t>(r.im);
-                }
-                storeComplex(tt, dst, r);
             };
           }
           case ExprKind::Un: {
             const auto& u = static_cast<const UnExpr&>(*e);
             ZIRIA_ASSERT(u.op() == UnOp::Neg);
             EvalInto sa = compileInto(u.sub());
-            TypePtr tt = t;
-            bool c16 = t->kind() == TypeKind::Complex16;
-            return [sa, tt, c16](Frame& f, uint8_t* dst) {
+            return [sa, cw](Frame& f, uint8_t* dst) {
                 uint8_t ba[8];
                 sa(f, ba);
-                Complex32 a = loadComplex(tt, ba);
-                Complex32 r{-a.re, -a.im};
-                if (c16) {
-                    r.re = static_cast<int16_t>(r.re);
-                    r.im = static_cast<int16_t>(r.im);
-                }
-                storeComplex(tt, dst, r);
+                zr_stc(cw, dst, zr_cneg(zr_ldc(cw, ba)));
             };
           }
           case ExprKind::Cast: {
             const auto& c = static_cast<const CastExpr&>(*e);
-            const TypePtr& from = c.sub()->type();
-            ZIRIA_ASSERT(from->isComplex());
+            ZIRIA_ASSERT(c.sub()->type()->isComplex());
             EvalInto sa = compileInto(c.sub());
-            TypePtr ft = from;
-            if (t->kind() == TypeKind::Complex16) {
-                return [sa, ft](Frame& f, uint8_t* dst) {
+            int fw = complexBits(c.sub()->type()->kind());
+            if (cw == 16) {
+                return [sa, fw](Frame& f, uint8_t* dst) {
                     uint8_t ba[8];
                     sa(f, ba);
-                    Complex32 a = loadComplex(ft, ba);
-                    Complex16 r{sat16(a.re), sat16(a.im)};
-                    std::memcpy(dst, &r, 4);
+                    zr_stc(16, dst, zr_csat16(zr_ldc(fw, ba)));
                 };
             }
-            return [sa, ft](Frame& f, uint8_t* dst) {
+            return [sa, fw](Frame& f, uint8_t* dst) {
                 uint8_t ba[8];
                 sa(f, ba);
-                Complex32 a = loadComplex(ft, ba);
-                std::memcpy(dst, &a, 8);
+                zr_stc(32, dst, zr_ldc(fw, ba));
             };
           }
           default:
@@ -805,9 +635,7 @@ ExprCompiler::compileAddr(const ExprPtr& e)
         long n = i.arr()->type()->len();
         return [base, ix, w, n](Frame& f) {
             int64_t k = ix(f);
-            if (k < 0 || k >= n)
-                fatalf("array index out of bounds: ", k, " not in [0, ", n,
-                       ")");
+            zr_check_index(&kHostTraps, k, n);
             return base(f) + static_cast<size_t>(k) * w;
         };
       }
@@ -820,9 +648,7 @@ ExprCompiler::compileAddr(const ExprPtr& e)
         long len = s.sliceLen();
         return [base, bx, w, n, len](Frame& f) {
             int64_t k = bx(f);
-            if (k < 0 || k + len > n)
-                fatalf("slice out of bounds: [", k, ", ", k + len,
-                       ") not within [0, ", n, ")");
+            zr_check_slice(&kHostTraps, k, len, n);
             return base(f) + static_cast<size_t>(k) * w;
         };
       }
@@ -879,14 +705,14 @@ ExprCompiler::compileStmt(const StmtPtr& s)
       case StmtKind::For: {
         const auto& fo = static_cast<const ForStmt&>(*s);
         size_t ivOff = layout_.add(fo.inductionVar());
-        TypeKind ivk = fo.inductionVar()->type->kind();
+        int ivw = intBits(fo.inductionVar()->type->kind());
         EvalInt lo = compileInt(fo.lo());
         EvalInt hi = compileInt(fo.hi());
         Action body = compileStmts(fo.body());
-        return [ivOff, ivk, lo, hi, body](Frame& f) {
+        return [ivOff, ivw, lo, hi, body](Frame& f) {
             int64_t h = hi(f);
             for (int64_t i = lo(f); i < h; ++i) {
-                writeIntRaw(ivk, f.at(ivOff), i);
+                zr_st(ivw, f.at(ivOff), i);
                 body(f);
             }
         };
@@ -1018,15 +844,13 @@ EvalInt
 ExprCompiler::compileCallInt(const CallExpr& c)
 {
     const FunRef& f = c.fun();
-    TypeKind k = c.type()->kind();
     if (f->isNative()) {
         EvalInto callFn = compileCallInto(c);
-        size_t w = c.type()->byteWidth();
-        ZIRIA_ASSERT(w <= 8);
-        return [callFn, k](Frame& fr) {
+        int w = intBits(c.type()->kind());
+        return [callFn, w](Frame& fr) {
             uint8_t buf[8];
             callFn(fr, buf);
-            return readIntRaw(k, buf);
+            return zr_ld(w, buf);
         };
     }
     PreparedCall pc = prepareCall(c);
@@ -1050,9 +874,7 @@ ExprCompiler::compileCallDbl(const CallExpr& c)
         return [callFn](Frame& fr) {
             uint8_t buf[8];
             callFn(fr, buf);
-            double v;
-            std::memcpy(&v, buf, 8);
-            return v;
+            return zr_ldd(buf);
         };
     }
     PreparedCall pc = prepareCall(c);

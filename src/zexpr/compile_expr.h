@@ -5,6 +5,9 @@
  * This plays the role of the paper's Ziria-to-C code generator for the
  * expression language.  Each expression/statement compiles once into a
  * tree of C++ closures over a Frame; evaluation is then allocation-free.
+ * The closure bodies hold no operator semantics of their own: each calls
+ * the matching function of zexpr/zr_sem.h, the header the constant
+ * folder and every natively generated unit use too.
  * Integral expressions compile to `int64_t(Frame&)` closures (the hot
  * path for bit-level PHY code); doubles and aggregate values have their
  * own calling conventions.
@@ -20,6 +23,7 @@
 #include <functional>
 
 #include "zexpr/frame.h"
+#include "zexpr/zr_sem.h"
 
 namespace ziria {
 
@@ -110,8 +114,14 @@ class ExprCompiler
     FrameLayout& layout_;
 };
 
-/** Truncate @p v to the range of integral kind @p k (two's complement). */
-int64_t truncToKind(TypeKind k, int64_t v);
+/**
+ * The host side of the zr_sem.h trap callbacks: a ZrCtx whose trapMsg,
+ * trapIndex and trapSlice throw FatalError with the diagnostic.  Closures
+ * and the folder pass it to the header's functions; native regions copy
+ * the same three callbacks into their own ZrCtx, so every backend raises
+ * a trap through the same host function.
+ */
+const ZrCtx* hostTraps();
 
 } // namespace ziria
 

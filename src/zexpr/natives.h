@@ -7,6 +7,9 @@
  * PHY implementation needs (scaled complex multiply, conjugate multiply,
  * magnitudes), mirroring the SIMD intrinsics wrappers of the paper's
  * "basic signal processing library".
+ *
+ * Each registers the matching `zr_nat_*` function of zexpr/zr_sem.h,
+ * the body natively generated code calls too.
  */
 #ifndef ZIRIA_ZEXPR_NATIVES_H
 #define ZIRIA_ZEXPR_NATIVES_H

@@ -119,9 +119,10 @@ class FusedNode : public ExecNode
 
     /**
      * Run this region as compiled code from now on (src/zcgen/):
-     * advance() calls @p fn over this node's state, with the host
-     * callbacks taken from @p hostTable.  @p lib keeps the shared
-     * object alive.
+     * advance() calls @p fn over this node's state, with the bridge
+     * callbacks (hostInto/hostInt/hostAction/hostLut) taken from
+     * @p hostTable; the trap callbacks are set at construction.  @p lib
+     * keeps the shared object alive.
      */
     void bindNative(std::shared_ptr<zcgen::Library> lib,
                     zcgen::ZrRegionFn fn, const zcgen::ZrCtx& hostTable);

@@ -31,14 +31,6 @@ namespace ziria {
 
 using namespace zfuse;
 
-namespace {
-
-/// Same budget as RepeatNode (zexec/nodes_comb.cc): iterations a repeat
-/// body may complete without any I/O before we flag a livelock.
-constexpr uint64_t fuseSpinLimit = 1u << 20;
-
-} // namespace
-
 FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     : prog_(std::move(prog))
 {
@@ -57,6 +49,11 @@ FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     ctx_.chFull = chFull_.data();
     ctx_.ctrlWidth = prog_->ctrlWidth;
     ctx_.host = this;
+    // Traps raise through the host functions the closures use, whether
+    // the interpreter or bound native code runs the region.
+    ctx_.trapMsg = hostTraps()->trapMsg;
+    ctx_.trapIndex = hostTraps()->trapIndex;
+    ctx_.trapSlice = hostTraps()->trapSlice;
 }
 
 void
@@ -69,9 +66,6 @@ FusedNode::bindNative(std::shared_ptr<zcgen::Library> lib,
     ctx_.hostInt = hostTable.hostInt;
     ctx_.hostAction = hostTable.hostAction;
     ctx_.hostLut = hostTable.hostLut;
-    ctx_.trapMsg = hostTable.trapMsg;
-    ctx_.trapIndex = hostTable.trapIndex;
-    ctx_.trapSlice = hostTable.trapSlice;
 }
 
 void
@@ -472,9 +466,7 @@ FusedNode::interpret(Frame& f)
     }
     OP(Spin)
     {
-        if (++ctx_.spins > fuseSpinLimit)
-            fatal("repeat: body completed 2^20 times without taking or "
-                  "emitting (livelock)");
+        zr_spin(&ctx_, &ctx_.spins);
         ++pc;
         NEXT();
     }

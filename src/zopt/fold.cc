@@ -22,7 +22,11 @@ constVal(const ExprPtr& e)
     return static_cast<const ConstExpr&>(*e).value();
 }
 
-/** Fold integral/double/bool binary ops over constants. */
+/**
+ * Fold integral/double/bool binary ops over constants.  Integer
+ * arithmetic goes through the zr_sem.h functions the backends run; an
+ * operation that traps there is left for run time.
+ */
 ExprPtr
 foldBin(const BinExpr& b, const ExprPtr& l, const ExprPtr& r)
 {
@@ -31,45 +35,33 @@ foldBin(const BinExpr& b, const ExprPtr& l, const ExprPtr& r)
     if (ot->isIntegral() && (rt->isIntegral() || rt->isBool())) {
         int64_t a = constVal(l).asInt();
         int64_t c = constVal(r).asInt();
-        TypeKind k = rt->kind();
+        int w = intBits(rt->kind());
         int64_t v = 0;
-        switch (b.op()) {
-          case BinOp::Add: v = a + c; break;
-          case BinOp::Sub: v = a - c; break;
-          case BinOp::Mul: v = a * c; break;
-          case BinOp::Div:
-            if (c == 0)
-                return nullptr;  // leave for runtime error
-            v = c == -1 ? -a : a / c;
-            break;
-          case BinOp::Rem:
-            if (c == 0)
-                return nullptr;
-            v = c == -1 ? 0 : a % c;
-            break;
-          case BinOp::Shl:
-            if (c < 0 || c >= 64)
-                return nullptr;
-            v = static_cast<int64_t>(static_cast<uint64_t>(a) << c);
-            break;
-          case BinOp::Shr:
-            if (c < 0 || c >= 64)
-                return nullptr;
-            v = a >> c;
-            break;
-          case BinOp::BAnd: v = a & c; break;
-          case BinOp::BOr: v = a | c; break;
-          case BinOp::BXor: v = a ^ c; break;
-          case BinOp::Eq: v = a == c; break;
-          case BinOp::Ne: v = a != c; break;
-          case BinOp::Lt: v = a < c; break;
-          case BinOp::Le: v = a <= c; break;
-          case BinOp::Gt: v = a > c; break;
-          case BinOp::Ge: v = a >= c; break;
-          case BinOp::LAnd: v = a && c; break;
-          case BinOp::LOr: v = a || c; break;
+        try {
+            switch (b.op()) {
+              case BinOp::Add: v = zr_add(w, a, c); break;
+              case BinOp::Sub: v = zr_sub(w, a, c); break;
+              case BinOp::Mul: v = zr_mul(w, a, c); break;
+              case BinOp::Div: v = zr_div(hostTraps(), w, a, c); break;
+              case BinOp::Rem: v = zr_rem(hostTraps(), w, a, c); break;
+              case BinOp::Shl: v = zr_shl(w, a, c); break;
+              case BinOp::Shr: v = zr_shr(w, a, c); break;
+              case BinOp::BAnd: v = a & c; break;
+              case BinOp::BOr: v = a | c; break;
+              case BinOp::BXor: v = a ^ c; break;
+              case BinOp::Eq: v = a == c; break;
+              case BinOp::Ne: v = a != c; break;
+              case BinOp::Lt: v = a < c; break;
+              case BinOp::Le: v = a <= c; break;
+              case BinOp::Gt: v = a > c; break;
+              case BinOp::Ge: v = a >= c; break;
+              case BinOp::LAnd: v = a && c; break;
+              case BinOp::LOr: v = a || c; break;
+            }
+        } catch (const FatalError&) {
+            return nullptr;
         }
-        return zb::cVal(Value::intOf(rt, truncToKind(k, v)));
+        return zb::cVal(Value::intOf(rt, v));
     }
     if (ot->isDouble()) {
         double a = constVal(l).asDouble();
@@ -182,14 +174,12 @@ foldExpr(const ExprPtr& e)
         ExprPtr s = foldExpr(u.sub());
         if (isConst(s) && s->type()->isIntegral()) {
             int64_t v = constVal(s).asInt();
-            TypeKind k = u.type()->kind();
+            int w = intBits(u.type()->kind());
             switch (u.op()) {
               case UnOp::Neg:
-                return zb::cVal(Value::intOf(u.type(),
-                                             truncToKind(k, -v)));
+                return zb::cVal(Value::intOf(u.type(), zr_neg(w, v)));
               case UnOp::BNot:
-                return zb::cVal(Value::intOf(u.type(),
-                                             truncToKind(k, ~v)));
+                return zb::cVal(Value::intOf(u.type(), zr_bnot(w, v)));
               case UnOp::LNot:
                 return zb::cBool(!v);
             }
@@ -202,8 +192,8 @@ foldExpr(const ExprPtr& e)
         if (isConst(s)) {
             if (s->type()->isIntegral() && c.type()->isIntegral()) {
                 return zb::cVal(Value::intOf(
-                    c.type(), truncToKind(c.type()->kind(),
-                                          constVal(s).asInt())));
+                    c.type(), zr_trunc(intBits(c.type()->kind()),
+                                       constVal(s).asInt())));
             }
             if (s->type()->isIntegral() && c.type()->isDouble()) {
                 return zb::cDouble(

@@ -158,6 +158,33 @@ Type::fieldType(const std::string& field) const
     panicf("struct ", structName_, " has no field ", field);
 }
 
+int
+intBits(TypeKind k)
+{
+    switch (k) {
+      case TypeKind::Bit:
+      case TypeKind::Bool:
+        return 1;
+      case TypeKind::Int8:
+        return 8;
+      case TypeKind::Int16:
+        return 16;
+      case TypeKind::Int32:
+        return 32;
+      case TypeKind::Int64:
+        return 64;
+      default:
+        panic("intBits: not an integral kind");
+    }
+}
+
+int
+complexBits(TypeKind k)
+{
+    ZIRIA_ASSERT(k == TypeKind::Complex16 || k == TypeKind::Complex32);
+    return k == TypeKind::Complex16 ? 16 : 32;
+}
+
 long
 Type::bitWidth() const
 {

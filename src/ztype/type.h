@@ -157,6 +157,15 @@ operator==(const TypePtr& a, const Type& b)
 bool typeEq(const TypePtr& a, const TypePtr& b);
 
 /**
+ * Width in bits of integral kind @p k, as the operator functions of
+ * zexpr/zr_sem.h take it (1 for bit and bool).
+ */
+int intBits(TypeKind k);
+
+/** Width in bits of one component of complex kind @p k (16 or 32). */
+int complexBits(TypeKind k);
+
+/**
  * The stream signature of a computation: whether it is a computer and if so
  * its control-value type, plus its input and output element types.  A null
  * in/out type means "polymorphic / not yet constrained" (e.g. `return e`

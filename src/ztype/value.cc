@@ -3,70 +3,20 @@
 #include <sstream>
 
 #include "support/panic.h"
+#include "zexpr/zr_sem.h"
 
 namespace ziria {
 
 int64_t
 readIntRaw(TypeKind k, const uint8_t* p)
 {
-    switch (k) {
-      case TypeKind::Bit:
-      case TypeKind::Bool:
-        return p[0];
-      case TypeKind::Int8: {
-        int8_t v;
-        std::memcpy(&v, p, 1);
-        return v;
-      }
-      case TypeKind::Int16: {
-        int16_t v;
-        std::memcpy(&v, p, 2);
-        return v;
-      }
-      case TypeKind::Int32: {
-        int32_t v;
-        std::memcpy(&v, p, 4);
-        return v;
-      }
-      case TypeKind::Int64: {
-        int64_t v;
-        std::memcpy(&v, p, 8);
-        return v;
-      }
-      default:
-        panic("readIntRaw: not an integral type");
-    }
+    return zr_ld(intBits(k), p);
 }
 
 void
 writeIntRaw(TypeKind k, uint8_t* p, int64_t v)
 {
-    switch (k) {
-      case TypeKind::Bit:
-      case TypeKind::Bool:
-        p[0] = static_cast<uint8_t>(v & 1);
-        return;
-      case TypeKind::Int8: {
-        auto x = static_cast<int8_t>(v);
-        std::memcpy(p, &x, 1);
-        return;
-      }
-      case TypeKind::Int16: {
-        auto x = static_cast<int16_t>(v);
-        std::memcpy(p, &x, 2);
-        return;
-      }
-      case TypeKind::Int32: {
-        auto x = static_cast<int32_t>(v);
-        std::memcpy(p, &x, 4);
-        return;
-      }
-      case TypeKind::Int64:
-        std::memcpy(p, &v, 8);
-        return;
-      default:
-        panic("writeIntRaw: not an integral type");
-    }
+    zr_st(intBits(k), p, v);
 }
 
 Value

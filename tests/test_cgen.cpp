@@ -28,6 +28,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -51,9 +52,13 @@
 #include "wifi/rx.h"
 #include "wifi/tx.h"
 #include "zast/builder.h"
+#include "zast/printer.h"
 #include "zcgen/cgen.h"
+#include "zexpr/compile_expr.h"
+#include "zexpr/natives.h"
 #include "zgen/generator.h"
 #include "zir/compiler.h"
+#include "zopt/passes.h"
 
 namespace ziria {
 namespace {
@@ -690,6 +695,484 @@ TEST(CgenCache, CacheKeyHashIsDeterministic)
     EXPECT_EQ(zcgen::fnv1a64Hex(kToySource),
               zcgen::fnv1a64Hex(kToySource));
     EXPECT_NE(zcgen::fnv1a64Hex("a"), zcgen::fnv1a64Hex("b"));
+}
+
+// ------------------------------------------ edge-value operator table
+
+/** One result: the value's bytes, or the trap's message. */
+struct Outcome
+{
+    std::vector<uint8_t> bytes;
+    std::string trap;
+
+    bool operator==(const Outcome&) const = default;
+};
+
+std::string
+show(const Outcome& o)
+{
+    if (!o.trap.empty())
+        return "trap \"" + o.trap + "\"";
+    std::string s = "bytes";
+    char b[4];
+    for (uint8_t x : o.bytes) {
+        std::snprintf(b, sizeof b, " %02x", x);
+        s += b;
+    }
+    return s;
+}
+
+/** Builds an operator's expression from fresh operand expressions. */
+using OperandFn = std::function<ExprPtr(size_t)>;
+
+struct EdgeOp
+{
+    std::string name;
+    std::function<ExprPtr(const OperandFn&)> build;
+    /** Operand values per position; the cases are their product. */
+    std::vector<std::vector<Value>> edges;
+    /** foldExpr must fold constant operands unless the operator traps. */
+    bool folds = false;
+};
+
+/**
+ * Operators sharing operand and result types.  A family runs as one
+ * stream program `repeat { x <- take S; emit e }`: S is the struct
+ * {sel: int32, f0, f1, ...} and e applies operator `sel` to the fields,
+ * so a family costs one native compile.
+ */
+struct EdgeFamily
+{
+    std::string name;
+    std::vector<TypePtr> operands;
+    std::vector<EdgeOp> ops;
+};
+
+struct EdgeCase
+{
+    size_t op;
+    std::vector<Value> args;
+};
+
+TypePtr
+edgeStruct(const EdgeFamily& fam)
+{
+    std::vector<std::pair<std::string, TypePtr>> fields = {
+        {"sel", Type::int32()}};
+    for (size_t i = 0; i < fam.operands.size(); ++i)
+        fields.emplace_back("f" + std::to_string(i), fam.operands[i]);
+    return Type::strct("edge_" + fam.name, fields);
+}
+
+std::vector<EdgeCase>
+edgeCases(const EdgeFamily& fam)
+{
+    std::vector<EdgeCase> out;
+    for (size_t o = 0; o < fam.ops.size(); ++o) {
+        std::vector<std::vector<Value>> tuples = {{}};
+        for (size_t i = 0; i < fam.operands.size(); ++i) {
+            const auto& e = fam.ops[o].edges;
+            std::vector<Value> vals = i < e.size()
+                ? e[i]
+                : std::vector<Value>{Value::zeroOf(fam.operands[i])};
+            std::vector<std::vector<Value>> next;
+            for (const auto& t : tuples) {
+                for (const auto& v : vals) {
+                    next.push_back(t);
+                    next.back().push_back(v);
+                }
+            }
+            tuples = std::move(next);
+        }
+        for (auto& t : tuples)
+            out.push_back(EdgeCase{o, std::move(t)});
+    }
+    return out;
+}
+
+/** One input element: sel, then the operand bytes at their offsets. */
+std::vector<uint8_t>
+edgeInput(const TypePtr& s, const EdgeCase& c)
+{
+    std::vector<uint8_t> b(s->byteWidth());
+    int32_t sel = static_cast<int32_t>(c.op);
+    std::memcpy(b.data(), &sel, 4);
+    for (size_t i = 0; i < c.args.size(); ++i) {
+        std::vector<uint8_t> v = c.args[i].bytes();
+        long off = s->fieldOffset("f" + std::to_string(i));
+        std::memcpy(b.data() + off, v.data(), v.size());
+    }
+    return b;
+}
+
+/** Evaluate @p e with the closure VM, writing @p in to @p x first. */
+Outcome
+evalVm(const ExprPtr& e, const VarRef& x, const std::vector<uint8_t>& in)
+{
+    FrameLayout layout;
+    ExprCompiler ec(layout);
+    EvalInto into = ec.compileInto(e);
+    size_t off = layout.add(x);
+    Frame fr(layout.frameSize());
+    std::memcpy(fr.at(off), in.data(), in.size());
+    Outcome o;
+    o.bytes.resize(e->type()->byteWidth());
+    try {
+        into(fr, o.bytes.data());
+    } catch (const FatalError& err) {
+        o.bytes.clear();
+        o.trap = err.what();
+    }
+    return o;
+}
+
+CompPtr
+edgeProgram(const EdgeFamily& fam, const TypePtr& s)
+{
+    VarRef x = freshVar("x", s);
+    OperandFn arg = [&](size_t i) {
+        return field(var(x), "f" + std::to_string(i));
+    };
+    ExprPtr e = fam.ops.back().build(arg);
+    for (size_t o = fam.ops.size() - 1; o-- > 0;) {
+        e = cond(field(var(x), "sel") == static_cast<int64_t>(o),
+                 fam.ops[o].build(arg), e);
+    }
+    return repeatc(seqc({bindc(x, take(s)), just(emit(e))}));
+}
+
+/** Run @p input through the family's program on one backend. */
+Outcome
+runEdge(const EdgeFamily& fam, const TypePtr& s, Backend be,
+        const std::vector<uint8_t>& input)
+{
+    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+    opt.backend = be;
+    Outcome o;
+    try {
+        CompileReport rep;
+        auto p = compilePipeline(edgeProgram(fam, s), opt, &rep);
+        if (be == Backend::Native) {
+            // Every operator must be generated code, not a host bridge.
+            EXPECT_EQ(rep.cgen.hostBridges, 0) << fam.name;
+            EXPECT_EQ(rep.cgen.fallbacks, 0) << fam.name;
+        }
+        o.bytes = p->runBytes(input);
+    } catch (const FatalError& err) {
+        o.trap = err.what();
+    }
+    return o;
+}
+
+std::vector<Value>
+intEdges(const TypePtr& t, std::vector<int64_t> extra = {})
+{
+    int w = static_cast<int>(t->bitWidth());
+    std::vector<int64_t> vs;
+    if (w == 1) {
+        vs = {0, 1};
+    } else {
+        int64_t mx = w == 64 ? INT64_MAX : (INT64_C(1) << (w - 1)) - 1;
+        vs = {0, 1, -1, -mx - 1, mx};
+    }
+    for (int64_t v : extra) {
+        if (std::find(vs.begin(), vs.end(), v) == vs.end())
+            vs.push_back(v);
+    }
+    std::vector<Value> out;
+    for (int64_t v : vs)
+        out.push_back(Value::intOf(t, v));
+    return out;
+}
+
+std::vector<Value>
+doubleEdges()
+{
+    std::vector<Value> out;
+    for (double v :
+         {0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.5, 127.9, 128.0, -129.0,
+          32768.0, 2147483648.0, -2147483649.0, 9.2e18,
+          9223372036854775808.0, -9223372036854775808.0, 1e300, -1e300,
+          710.0, -745.2, 5e-324, HUGE_VAL, -HUGE_VAL, std::nan("")})
+        out.push_back(Value::real(v));
+    return out;
+}
+
+std::vector<Value>
+complexEdges(const TypePtr& t)
+{
+    int32_t mx = t->kind() == TypeKind::Complex16 ? 32767 : INT32_MAX;
+    int32_t mn = -mx - 1;
+    std::vector<std::pair<int32_t, int32_t>> ps = {
+        {0, 0}, {1, -1}, {-1, 1}, {mn, mn}, {mx, mx}, {mn, mx}, {mx, mn},
+        {mn, 1}};
+    std::vector<Value> out;
+    for (auto [re, im] : ps) {
+        out.push_back(t->kind() == TypeKind::Complex16
+                          ? Value::c16(static_cast<int16_t>(re),
+                                       static_cast<int16_t>(im))
+                          : Value::c32(re, im));
+    }
+    return out;
+}
+
+std::vector<EdgeFamily>
+edgeFamilies()
+{
+    std::vector<EdgeFamily> fams;
+    auto bin = [](BinOp op) {
+        return [op](const OperandFn& a) { return mkBin(op, a(0), a(1)); };
+    };
+    auto un = [](UnOp op) {
+        return [op](const OperandFn& a) { return mkUn(op, a(0)); };
+    };
+
+    // Arithmetic, shifts and bitwise operators at every ordinary width.
+    for (const TypePtr& t :
+         {Type::int8(), Type::int16(), Type::int32(), Type::int64()}) {
+        int w = static_cast<int>(t->bitWidth());
+        std::vector<Value> a = intEdges(t);
+        std::vector<Value> b = intEdges(t, {w - 1, w, 63, 64});
+        EdgeFamily f{t->show(), {t, t}, {}};
+        const std::pair<const char*, BinOp> bins[] = {
+            {"+", BinOp::Add},   {"-", BinOp::Sub},  {"*", BinOp::Mul},
+            {"/", BinOp::Div},   {"%", BinOp::Rem},  {"<<", BinOp::Shl},
+            {">>", BinOp::Shr},  {"&", BinOp::BAnd}, {"|", BinOp::BOr},
+            {"^", BinOp::BXor}};
+        for (const auto& [n, op] : bins)
+            f.ops.push_back({n, bin(op), {a, b}, true});
+        f.ops.push_back({"neg", un(UnOp::Neg), {a}, true});
+        f.ops.push_back({"~", un(UnOp::BNot), {a}, true});
+        fams.push_back(std::move(f));
+    }
+    for (const TypePtr& t : {Type::bit(), Type::boolean()}) {
+        std::vector<Value> a = intEdges(t);
+        fams.push_back({t->show(),
+                        {t, t},
+                        {{"&", bin(BinOp::BAnd), {a, a}, true},
+                         {"|", bin(BinOp::BOr), {a, a}, true},
+                         {"^", bin(BinOp::BXor), {a, a}, true},
+                         {"~", un(UnOp::BNot), {a}, true}}});
+    }
+
+    // Integer -> integer casts wrap; double -> integer casts.
+    const TypePtr narrow[] = {Type::bit(), Type::boolean(), Type::int8(),
+                              Type::int16(), Type::int32(), Type::int64()};
+    {
+        std::vector<Value> a = intEdges(
+            Type::int64(),
+            {2, 127, 128, -128, -129, 255, 32767, 32768, -32768, -32769,
+             65535, INT32_MAX, INT64_C(2147483648), INT32_MIN,
+             INT64_C(-2147483649), UINT32_MAX});
+        EdgeFamily f{"int-cast", {Type::int64()}, {}};
+        for (const TypePtr& to : narrow) {
+            f.ops.push_back({"(" + to->show() + ")",
+                             [to](const OperandFn& x) {
+                                 return cast(Type::int64(), cast(to, x(0)));
+                             },
+                             {a},
+                             true});
+        }
+        fams.push_back(std::move(f));
+        EdgeFamily d{"double-cast", {Type::real()}, {}};
+        for (const TypePtr& to : narrow) {
+            d.ops.push_back({"(" + to->show() + ")",
+                             [to](const OperandFn& x) {
+                                 return cast(Type::int64(), cast(to, x(0)));
+                             },
+                             {doubleEdges()},
+                             false});
+        }
+        fams.push_back(std::move(d));
+    }
+
+    // Complex arithmetic, shifts, casts, the trap, and the natives.
+    for (const TypePtr& t : {Type::complex16(), Type::complex32()}) {
+        bool c16 = t->kind() == TypeKind::Complex16;
+        TypePtr other = c16 ? Type::complex32() : Type::complex16();
+        std::vector<Value> a = complexEdges(t);
+        std::vector<Value> s = intEdges(Type::int64(),
+                                        {15, 16, 31, 32, 63, 64});
+        EdgeFamily f{t->show(), {t, t, Type::int64()}, {}};
+        f.ops.push_back({"+", bin(BinOp::Add), {a, a}});
+        f.ops.push_back({"-", bin(BinOp::Sub), {a, a}});
+        f.ops.push_back({"*", bin(BinOp::Mul), {a, a}});
+        f.ops.push_back({"neg", un(UnOp::Neg), {a}});
+        f.ops.push_back({"<<", [](const OperandFn& x) {
+                             return mkBin(BinOp::Shl, x(0), x(2));
+                         }, {a, {Value::zeroOf(t)}, s}});
+        f.ops.push_back({">>", [](const OperandFn& x) {
+                             return mkBin(BinOp::Shr, x(0), x(2));
+                         }, {a, {Value::zeroOf(t)}, s}});
+        f.ops.push_back({"cast", [t, other](const OperandFn& x) {
+                             return cast(t, cast(other, x(0)));
+                         }, {a}});
+        // mkBin refuses complex division; the evaluators trap.
+        f.ops.push_back({"/", [t](const OperandFn& x) {
+                             return std::make_shared<BinExpr>(
+                                 t, BinOp::Div, x(0), x(1));
+                         }, {{a[1]}, {a[3]}}});
+        if (c16) {
+            auto shift = [](const OperandFn& x) {
+                return cast(Type::int32(), x(2));
+            };
+            f.ops.push_back({"cmul16", [shift](const OperandFn& x) {
+                                 return call(natives::cmul16(),
+                                             {x(0), x(1), shift(x)});
+                             }, {a, a, s}});
+            f.ops.push_back({"cmul_conj16", [shift](const OperandFn& x) {
+                                 return call(natives::cmulConj16(),
+                                             {x(0), x(1), shift(x)});
+                             }, {a, a, s}});
+            f.ops.push_back({"conj16", [](const OperandFn& x) {
+                                 return call(natives::conj16(), {x(0)});
+                             }, {a}});
+            f.ops.push_back({"mk_complex16", [](const OperandFn& x) {
+                                 return call(
+                                     natives::mkC16(),
+                                     {call(natives::creal16(), {x(0)}),
+                                      call(natives::cimag16(), {x(1)})});
+                             }, {a, a}});
+        } else {
+            f.ops.push_back({"cadd32", [](const OperandFn& x) {
+                                 return call(natives::cadd32(),
+                                             {x(0), x(1)});
+                             }, {a, a}});
+        }
+        fams.push_back(std::move(f));
+    }
+    {
+        std::vector<Value> d = doubleEdges();
+        EdgeFamily f{"double-natives", {Type::real(), Type::real()}, {}};
+        const std::pair<const char*, FunRef> unary[] = {
+            {"sin", natives::sinF()}, {"cos", natives::cosF()},
+            {"sqrt", natives::sqrtF()}, {"exp", natives::expF()},
+            {"log", natives::logF()}};
+        for (const auto& [n, fn] : unary) {
+            f.ops.push_back({n, [fn = fn](const OperandFn& x) {
+                                 return call(fn, {x(0)});
+                             }, {d}});
+        }
+        f.ops.push_back({"atan2", [](const OperandFn& x) {
+                             return call(natives::atan2F(), {x(0), x(1)});
+                         }, {d, d}});
+        fams.push_back(std::move(f));
+
+        std::vector<Value> c = complexEdges(Type::complex16());
+        std::vector<Value> v = intEdges(Type::int32(),
+                                        {32767, 32768, -32768, -32769});
+        EdgeFamily g{"int-natives", {Type::complex16(), Type::int32()}, {}};
+        g.ops.push_back({"cabs2", [](const OperandFn& x) {
+                             return call(natives::cabs2_16(), {x(0)});
+                         }, {c}});
+        g.ops.push_back({"creal", [](const OperandFn& x) {
+                             return cast(Type::int32(),
+                                         call(natives::creal16(), {x(0)}));
+                         }, {c}});
+        g.ops.push_back({"sat16", [](const OperandFn& x) {
+                             return cast(Type::int32(),
+                                         call(natives::satI16(), {x(1)}));
+                         }, {{c[0]}, v}});
+        fams.push_back(std::move(g));
+    }
+
+    // Bounds checks: an index and a 2-element slice of a 4-element array.
+    {
+        std::vector<Value> k = intEdges(Type::int64(), {2, 3, 4});
+        auto arr = [] {
+            return cVal(Value::arrayOf(
+                Type::int32(), {Value::i32(10), Value::i32(20),
+                                Value::i32(30), Value::i32(40)}));
+        };
+        fams.push_back(
+            {"bounds",
+             {Type::int64()},
+             {{"index", [arr](const OperandFn& x) {
+                   return idx(arr(), x(0));
+               }, {k}, true},
+              {"slice", [arr](const OperandFn& x) {
+                   return idx(slice(arr(), x(0), 2), 1);
+               }, {k}}}});
+    }
+    return fams;
+}
+
+/**
+ * The operator table at its edges: every (operator, kind) pair and the
+ * natives, over 0, +-1, MIN, MAX and the shift counts -1, 0, w-1, w, 63,
+ * 64.  The closure VM, foldExpr, the fused interpreter and generated
+ * native code must give byte-identical results and identical trap
+ * messages — they share one definition (zexpr/zr_sem.h).
+ */
+TEST(EdgeValues, VmFoldFusedAndNativeAgreeOnEveryOperator)
+{
+    std::vector<Backend> backends = {Backend::Vm, Backend::Fused};
+    if (zcgen::compilerAvailable())
+        backends.push_back(Backend::Native);
+    size_t cases = 0, traps = 0;
+    for (const EdgeFamily& fam : edgeFamilies()) {
+        TypePtr s = edgeStruct(fam);
+        std::vector<uint8_t> batch;
+        std::vector<uint8_t> want;
+        std::vector<std::pair<std::vector<uint8_t>, Outcome>> trapping;
+        for (const EdgeCase& c : edgeCases(fam)) {
+            const EdgeOp& op = fam.ops[c.op];
+            std::string what = fam.name + " " + op.name + " (";
+            for (size_t i = 0; i < c.args.size(); ++i)
+                what += (i ? ", " : "") + c.args[i].show();
+            what += ")";
+            SCOPED_TRACE(what);
+            std::vector<uint8_t> in = edgeInput(s, c);
+
+            VarRef x = freshVar("x", s);
+            Outcome vm = evalVm(op.build([&](size_t i) {
+                return field(var(x), "f" + std::to_string(i));
+            }), x, in);
+
+            ExprPtr folded = foldExpr(op.build(
+                [&](size_t i) { return cVal(c.args[i]); }));
+            if (op.folds) {
+                EXPECT_EQ(folded->kind() == ExprKind::Const,
+                          vm.trap.empty())
+                    << showExpr(folded);
+            }
+            Outcome fo = evalVm(folded, x, in);
+            EXPECT_EQ(fo, vm) << "fold: " << show(fo) << "\n  vm: "
+                              << show(vm);
+
+            ++cases;
+            if (vm.trap.empty()) {
+                batch.insert(batch.end(), in.begin(), in.end());
+                want.insert(want.end(), vm.bytes.begin(), vm.bytes.end());
+            } else {
+                ++traps;
+                trapping.emplace_back(in, vm);
+            }
+        }
+        for (Backend be : backends) {
+            SCOPED_TRACE(fam.name + " on backend " +
+                         std::to_string(static_cast<int>(be)));
+            Outcome got = runEdge(fam, s, be, batch);
+            EXPECT_TRUE(got.trap.empty()) << got.trap;
+            EXPECT_TRUE(got.bytes == want) << "results differ from the VM";
+            for (size_t i = 0; i < got.bytes.size() && i < want.size();
+                 ++i) {
+                if (got.bytes[i] != want[i]) {
+                    ADD_FAILURE() << "first difference at output byte " << i;
+                    break;
+                }
+            }
+            // Each trapping case alone: the pipeline stops with the
+            // closure's message.
+            for (const auto& [in, vm] : trapping) {
+                Outcome t = runEdge(fam, s, be, in);
+                EXPECT_NE(t.trap.find(vm.trap), std::string::npos)
+                    << "want trap \"" << vm.trap << "\", got " << show(t);
+            }
+        }
+    }
+    EXPECT_GT(cases, 3000u);
+    EXPECT_GT(traps, 40u);
 }
 
 // ------------------------------------------------------ loud refusal
