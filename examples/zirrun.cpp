@@ -813,6 +813,11 @@ main(int argc, char** argv)
             // (those belong to the one-shot profiling path).
             CompilerOptions fcopt = CompilerOptions::forLevel(level);
             fcopt.backend = backend;
+            fcopt.cgenCacheDir = cgenCacheDir;
+            // Warm the program cache: the factory runs on the server's
+            // I/O thread, and every session, the first included, should
+            // find the optimized program and its LUTs already built.
+            compilePipeline(program, fcopt, nullptr);
             serve::Server server(
                 [program, fcopt](uint64_t) {
                     return compilePipeline(program, fcopt, nullptr);

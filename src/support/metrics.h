@@ -24,14 +24,18 @@
 namespace ziria {
 namespace metrics {
 
-/** Monotonic event counter. */
+/**
+ * Monotonic event counter.  Atomic: compiles and pipeline runs on
+ * several threads (zserve's I/O thread and workers, concurrent
+ * compiles) bump the same registry counter.
+ */
 struct Counter
 {
-    uint64_t n = 0;
+    std::atomic<uint64_t> n{0};
 
-    void inc() { ++n; }
-    void add(uint64_t d) { n += d; }
-    uint64_t value() const { return n; }
+    void inc() { n.fetch_add(1, std::memory_order_relaxed); }
+    void add(uint64_t d) { n.fetch_add(d, std::memory_order_relaxed); }
+    uint64_t value() const { return n.load(std::memory_order_relaxed); }
 };
 
 /**

@@ -127,7 +127,7 @@ class ReturnNode : public ExecNode
 struct MapStage
 {
     CompiledKernel kernel;
-    std::shared_ptr<CompiledLut> lut;  ///< null = run the kernel body
+    std::shared_ptr<const CompiledLut> lut;  ///< null = run the kernel body
     size_t inW = 0;
     size_t outW = 0;
 };
@@ -139,7 +139,7 @@ struct MapStage
 class MapNode : public ExecNode
 {
   public:
-    MapNode(CompiledKernel kernel, std::shared_ptr<CompiledLut> lut,
+    MapNode(CompiledKernel kernel, std::shared_ptr<const CompiledLut> lut,
             size_t in_width, size_t out_width);
 
     void start(Frame& f) override;

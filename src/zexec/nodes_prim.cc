@@ -158,7 +158,8 @@ ReturnNode::supply(Frame&, const uint8_t*)
 
 // ----------------------------------------------------------------- Map
 
-MapNode::MapNode(CompiledKernel kernel, std::shared_ptr<CompiledLut> lut,
+MapNode::MapNode(CompiledKernel kernel,
+                 std::shared_ptr<const CompiledLut> lut,
                  size_t in_width, size_t out_width)
 {
     stage_.kernel = std::move(kernel);

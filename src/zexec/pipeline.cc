@@ -185,17 +185,15 @@ buildNode(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
       case CompKind::Map: {
         const auto& m = static_cast<const MapComp&>(*c);
         CompiledKernel k = ec.compileKernel(m.fun());
-        std::shared_ptr<CompiledLut> lut;
+        std::shared_ptr<const CompiledLut> lut;
         if (opt.autoLut)
-            lut = tryBuildMapLut(m.fun(), k, ec, opt.lutLimits);
+            lut = tryBuildMapLut(&m, m.fun(), k, ec, opt.lutLimits,
+                                 opt.lutCache);
         if (stats) {
             ++stats->mapNodes;
             if (lut) {
                 ++stats->lutsBuilt;
                 stats->lutBytes += lut->tableBytes();
-                metrics::Registry::global()
-                    .counter("ziria.luts_built")
-                    .inc();
             }
         }
         node = std::make_unique<MapNode>(

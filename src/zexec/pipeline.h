@@ -24,6 +24,7 @@
 namespace ziria {
 
 class CkptStore;
+class LutCache;
 
 /** Pull-style input: elements of a fixed byte width. */
 class InputSource
@@ -194,6 +195,9 @@ struct BuildOptions
     bool instrument = false;      ///< wrap nodes in TracedNode shims
     uint32_t sampleShift = 6;     ///< time 1 in 2^N advances per node
     PipelineMetrics* metrics = nullptr;  ///< sink for NodeMetrics entries
+    /** Tables shared across builds of one cached program (set by the
+     *  compiler driver, zir/program_cache.h); null = always compute. */
+    LutCache* lutCache = nullptr;
 };
 
 /** Statistics collected while building (reported by the compiler). */
@@ -201,6 +205,9 @@ struct BuildStats
 {
     int nodes = 0;
     int mapNodes = 0;
+    /** LUT-backed map sites in this pipeline and their table bytes,
+     *  whether the tables were computed or shared from an earlier
+     *  build of the same program. */
     int lutsBuilt = 0;
     size_t lutBytes = 0;
 };

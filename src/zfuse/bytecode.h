@@ -112,7 +112,7 @@ struct FuseProgram
     std::vector<EvalInto> intoFns;
     std::vector<EvalInt> intFns;
     std::vector<ziria::Action> actions;
-    std::vector<std::shared_ptr<CompiledLut>> luts;
+    std::vector<std::shared_ptr<const CompiledLut>> luts;
 
     /**
      * Source ASTs for the closure tables, index-parallel with

@@ -238,7 +238,7 @@ class Lowerer
     }
 
     int32_t
-    addLut(std::shared_ptr<CompiledLut> lut)
+    addLut(std::shared_ptr<const CompiledLut> lut)
     {
         prog_->luts.push_back(std::move(lut));
         return static_cast<int32_t>(prog_->luts.size() - 1);
@@ -607,17 +607,15 @@ class Lowerer
           case CompKind::Map: {
             const auto& m = static_cast<const MapComp&>(*c);
             CompiledKernel k = ec_.compileKernel(m.fun());
-            std::shared_ptr<CompiledLut> lut;
+            std::shared_ptr<const CompiledLut> lut;
             if (opt_.autoLut)
-                lut = tryBuildMapLut(m.fun(), k, ec_, opt_.lutLimits);
+                lut = tryBuildMapLut(&m, m.fun(), k, ec_, opt_.lutLimits,
+                                     opt_.lutCache);
             if (stats_) {
                 ++stats_->mapNodes;
                 if (lut) {
                     ++stats_->lutsBuilt;
                     stats_->lutBytes += lut->tableBytes();
-                    metrics::Registry::global()
-                        .counter("ziria.luts_built")
-                        .inc();
                 }
             }
             size_t inW = m.fun()->params[0]->type->byteWidth();

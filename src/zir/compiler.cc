@@ -1,8 +1,10 @@
 #include "zir/compiler.h"
 
+#include "support/metrics.h"
 #include "support/panic.h"
 #include "support/timing.h"
 #include "zcheck/check.h"
+#include "zir/program_cache.h"
 
 namespace ziria {
 
@@ -54,11 +56,10 @@ runPass(const CompilerOptions& opt, CompileReport* report,
     return out;
 }
 
-} // namespace
-
+/** The AST passes, uncached. */
 CompPtr
-optimizeComp(const CompPtr& program, const CompilerOptions& opt,
-             CompileReport* report)
+runPasses(const CompPtr& program, const CompilerOptions& opt,
+          CompileReport* report)
 {
     Stopwatch sw;
     CompPtr c = runPass(opt, report, "elaborate", program,
@@ -106,6 +107,54 @@ optimizeComp(const CompPtr& program, const CompilerOptions& opt,
         report->signature = c->ctype();
     }
     return c;
+}
+
+/**
+ * The optimized program for (@p program, @p opt): from the program
+ * cache when an earlier compile left it there (pass timings then read
+ * 0), else by running the passes and caching the result.  A traced
+ * compile runs its passes and leaves the cache alone.
+ */
+std::shared_ptr<const CompiledProgram>
+compileProgram(const CompPtr& program, const CompilerOptions& opt,
+               CompileReport* report)
+{
+    CompileReport local;
+    CompileReport& rep = report ? *report : local;
+    rep.cacheHit = false;
+    auto prog = std::make_shared<CompiledProgram>();
+    if (opt.tracer) {
+        prog->ast = runPasses(program, opt, &rep);
+        return prog;
+    }
+
+    std::string key = programKey(program, opt, &prog->pins);
+    auto& reg = metrics::Registry::global();
+    if (auto hit = ProgramCache::global().find(key)) {
+        reg.counter("ziria.compile.cache_hits").inc();
+        rep.cacheHit = true;
+        rep.frontendSec = rep.vectorizeSec = rep.optimizeSec = 0;
+        rep.vect = hit->vect;
+        rep.maps = hit->maps;
+        rep.signature = hit->signature;
+        return hit;
+    }
+    reg.counter("ziria.compile.cache_misses").inc();
+    rep.vect = VectStats{};
+    prog->ast = runPasses(program, opt, &rep);
+    prog->vect = rep.vect;
+    prog->maps = rep.maps;
+    prog->signature = rep.signature;
+    return ProgramCache::global().insert(std::move(key), std::move(prog));
+}
+
+} // namespace
+
+CompPtr
+optimizeComp(const CompPtr& program, const CompilerOptions& opt,
+             CompileReport* report)
+{
+    return compileProgram(program, opt, report)->ast;
 }
 
 namespace {
@@ -159,7 +208,8 @@ compilePipeline(const CompPtr& program, const CompilerOptions& opt,
                 CompileReport* report)
 {
     checkRestartScope(opt);
-    CompPtr c = optimizeComp(program, opt, report);
+    auto prog = compileProgram(program, opt, report);
+    const CompPtr& c = prog->ast;
 
     Stopwatch sw;
     FrameLayout layout;
@@ -168,6 +218,7 @@ compilePipeline(const CompPtr& program, const CompilerOptions& opt,
     BuildOptions bo;
     bo.autoLut = opt.autoLut;
     bo.lutLimits = opt.lut;
+    bo.lutCache = &prog->luts;
     if (opt.instrument) {
         pm = std::make_shared<PipelineMetrics>();
         bo.instrument = true;
@@ -212,11 +263,11 @@ compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
                         CompileReport* report)
 {
     checkRestartScope(opt);
-    CompPtr c = optimizeComp(program, opt, report);
+    auto prog = compileProgram(program, opt, report);
 
     Stopwatch sw;
     std::vector<CompPtr> parts;
-    splitStages(c, parts);
+    splitStages(prog->ast, parts);
 
     FrameLayout layout;
     ExprCompiler ec(layout);
@@ -224,6 +275,7 @@ compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
     BuildOptions bo;
     bo.autoLut = opt.autoLut;
     bo.lutLimits = opt.lut;
+    bo.lutCache = &prog->luts;
     if (opt.instrument) {
         pm = std::make_shared<PipelineMetrics>();
         bo.instrument = true;
@@ -279,6 +331,7 @@ compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
 void
 CompileReport::writeJson(metrics::JsonWriter& w) const
 {
+    w.field("cache_hit", cacheHit);
     w.field("total_sec", totalSec());
     w.field("frontend_sec", frontendSec);
     w.field("vectorize_sec", vectorizeSec);

@@ -97,6 +97,10 @@ struct CompileReport
     double buildSec = 0;     ///< node build incl. LUT table generation
     size_t frameBytes = 0;
     CompType signature;
+    /** The optimized program came from the program cache
+     *  (zir/program_cache.h): the pass timings read 0 and vect/maps are
+     *  the first compile's. */
+    bool cacheHit = false;
     /** Per-pass records; filled only when compiled with a tracer. */
     std::vector<PassRecord> passes;
 
@@ -128,7 +132,11 @@ std::unique_ptr<ThreadedPipeline>
 compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
                         CompileReport* report = nullptr);
 
-/** Run the AST-level passes only (for tests and dumps). */
+/**
+ * Run the AST-level passes only (for tests and dumps).  Goes through
+ * the program cache like the compile entry points: the result may be
+ * shared with other compiles and must not be modified.
+ */
 CompPtr optimizeComp(const CompPtr& program, const CompilerOptions& opt,
                      CompileReport* report = nullptr);
 

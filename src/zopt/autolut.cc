@@ -1,12 +1,57 @@
 #include "zopt/autolut.h"
 
+#include "support/metrics.h"
 #include "zcheck/check.h"
 
 namespace ziria {
 
-std::shared_ptr<CompiledLut>
-tryBuildMapLut(const FunRef& f, const CompiledKernel& kernel,
-               ExprCompiler& ec, const LutLimits& limits)
+std::shared_ptr<const CompiledLut>
+LutCache::find(const std::string& key) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = tables_.find(key);
+    return it == tables_.end() ? nullptr : it->second;
+}
+
+std::shared_ptr<const CompiledLut>
+LutCache::insert(const std::string& key,
+                 std::shared_ptr<const CompiledLut> lut)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    auto [it, fresh] = tables_.emplace(key, std::move(lut));
+    if (fresh)
+        bytes_ += it->second->tableBytes();
+    return it->second;
+}
+
+size_t
+LutCache::tableBytes() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return bytes_;
+}
+
+namespace {
+
+void
+appendSlots(std::string& key, const std::vector<LutSlot>& slots)
+{
+    key += std::to_string(slots.size());
+    for (const auto& s : slots) {
+        key += ';';
+        key += std::to_string(s.frameOff);
+        key += ':';
+        key += s.type->show();
+    }
+    key += '|';
+}
+
+} // namespace
+
+std::shared_ptr<const CompiledLut>
+tryBuildMapLut(const void* site, const FunRef& f,
+               const CompiledKernel& kernel, ExprCompiler& ec,
+               const LutLimits& limits, LutCache* cache)
 {
     if (f->noLut || f->isNative())
         return nullptr;
@@ -38,9 +83,22 @@ tryBuildMapLut(const FunRef& f, const CompiledKernel& kernel,
     if (!plan)
         return nullptr;
 
-    return std::make_shared<CompiledLut>(std::move(*plan), kernel.body,
-                                         kernel.retInto,
-                                         ec.layout().frameSize());
+    std::string key;
+    if (cache) {
+        key = std::to_string(reinterpret_cast<uintptr_t>(site)) + '|' +
+              std::to_string(ec.layout().frameSize()) + '|';
+        appendSlots(key, plan->keySlots);
+        appendSlots(key, plan->outSlots);
+        if (auto hit = cache->find(key))
+            return hit;
+    }
+    // Built outside any lock: two pipelines missing at once both compute
+    // the table and the cache keeps the first.
+    auto lut = std::make_shared<const CompiledLut>(
+        std::move(*plan), kernel.body, kernel.retInto,
+        ec.layout().frameSize());
+    metrics::Registry::global().counter("ziria.luts_built").inc();
+    return cache ? cache->insert(key, std::move(lut)) : lut;
 }
 
 } // namespace ziria

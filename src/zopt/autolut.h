@@ -13,7 +13,10 @@
 #ifndef ZIRIA_ZOPT_AUTOLUT_H
 #define ZIRIA_ZOPT_AUTOLUT_H
 
+#include <map>
 #include <memory>
+#include <mutex>
+#include <string>
 
 #include "zexpr/compile_expr.h"
 #include "zexpr/lut.h"
@@ -21,19 +24,49 @@
 namespace ziria {
 
 /**
+ * Tables already computed for one optimized program, shared by every
+ * pipeline built from it (zir/program_cache.h).  A table is keyed by its
+ * map site (the MapComp node of that program's AST) and its plan: key
+ * and output slot offsets and types plus the frame size, which is all
+ * the table's contents and apply() depend on.  Thread-safe.
+ */
+class LutCache
+{
+  public:
+    std::shared_ptr<const CompiledLut> find(const std::string& key) const;
+
+    /** Keep @p lut unless another build got there first; returns the
+     *  table now cached under @p key. */
+    std::shared_ptr<const CompiledLut>
+    insert(const std::string& key, std::shared_ptr<const CompiledLut> lut);
+
+    /** Bytes of all cached tables. */
+    size_t tableBytes() const;
+
+  private:
+    mutable std::mutex mu_;
+    std::map<std::string, std::shared_ptr<const CompiledLut>> tables_;
+    size_t bytes_ = 0;
+};
+
+/**
  * Try to replace a compiled map kernel with a lookup table.
  *
+ * @param site    identity of the map site, used with @p cache
  * @param f       the map function (analyzed for captured state)
  * @param kernel  its compiled form (parameter slots already allocated)
  * @param ec      the compiler (provides the frame layout)
  * @param limits  key/table size policy
+ * @param cache   tables of earlier builds of the same program, or null;
+ *                a table found there is reused instead of recomputed
  * @return the table, or null when the kernel is not LUT-able (key too
  *         wide, doubles involved, or the function is annotated noLut).
+ *         Only computed tables count in `ziria.luts_built`.
  */
-std::shared_ptr<CompiledLut> tryBuildMapLut(const FunRef& f,
-                                            const CompiledKernel& kernel,
-                                            ExprCompiler& ec,
-                                            const LutLimits& limits);
+std::shared_ptr<const CompiledLut>
+tryBuildMapLut(const void* site, const FunRef& f,
+               const CompiledKernel& kernel, ExprCompiler& ec,
+               const LutLimits& limits, LutCache* cache = nullptr);
 
 } // namespace ziria
 

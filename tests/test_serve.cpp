@@ -34,6 +34,7 @@
 #include "zcgen/cgen.h"
 #include "zexec/faultpoint.h"
 #include "zir/compiler.h"
+#include "zir/program_cache.h"
 #include "zparse/parser.h"
 #include "zserve/endpoints.h"
 #include "zserve/server.h"
@@ -893,6 +894,44 @@ TEST(Serve, DrainEmitsCheckpointAndSecondServerResumes)
         checkDrainAndResume(scramblerFactory(Backend::Native),
                             scramblerFactory(Backend::Fused));
     }
+}
+
+TEST(Serve, RepeatSessionsOfAProgramAreCacheHits)
+{
+    // The factory runs on the I/O thread per session; every session
+    // after the first must get the optimized program and its tables
+    // from the program cache, and stream exactly what a solo run does,
+    // including across a drain checkpoint.
+    ProgramCache::global().clear();
+    auto& reg = metrics::Registry::global();
+    auto factory = scramblerFactory();
+    auto input = randomBits(4096 * 8, 61);
+
+    ServerConfig cfg;
+    cfg.workers = 2;
+    Server server(factory, cfg);
+    server.start();
+    TestClient first;
+    first.run(server.port(), input);
+    EXPECT_TRUE(first.sawEnd);
+    uint64_t hits0 = reg.counter("ziria.compile.cache_hits").value();
+    uint64_t luts0 = reg.counter("ziria.luts_built").value();
+    TestClient second;
+    second.run(server.port(), input);
+    EXPECT_TRUE(second.sawEnd);
+    EXPECT_FALSE(second.sawError) << second.errorMsg;
+    EXPECT_GT(reg.counter("ziria.compile.cache_hits").value(), hits0);
+    EXPECT_EQ(reg.counter("ziria.luts_built").value(), luts0);
+    server.stop();
+
+    auto expect = soloRun(factory, input);
+    EXPECT_EQ(first.out, expect);
+    EXPECT_EQ(second.out, expect);
+
+    uint64_t hits1 = reg.counter("ziria.compile.cache_hits").value();
+    checkDrainAndResume(factory, factory);
+    EXPECT_GE(reg.counter("ziria.compile.cache_hits").value(), hits1 + 2);
+    EXPECT_EQ(reg.counter("ziria.luts_built").value(), luts0);
 }
 
 TEST(Serve, DrainLetsFinishedSessionsCompleteNaturally)
