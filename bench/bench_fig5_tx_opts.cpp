@@ -8,7 +8,12 @@
  * Paper shape: vectorization alone is modest on TX (bit-level operations
  * dominate), but it enables LUT generation; vect+LUT reaches up to
  * 1000x on bit-granularity blocks.
+ *
+ * The full-transmitter table also runs each level on the native
+ * backend (docs/CODEGEN.md; median of 3 runs over 10x the VM's input),
+ * where the optimizer's output is compiled C++ as in the paper.
  */
+#include <algorithm>
 #include <functional>
 
 #include "bench_util.h"
@@ -28,7 +33,25 @@ struct Row
     double none = 0;
     double vect = 0;
     double all = 0;
+    double natNone = 0;
+    double natVect = 0;
+    double natAll = 0;
 };
+
+/** Median of three native-backend runs of @p comp at @p level. */
+double
+nativeElemsPerSec(const std::function<CompPtr()>& mk, OptLevel level,
+                  const std::vector<uint8_t>& input, size_t elem_bytes,
+                  uint64_t total_elems)
+{
+    CompilerOptions opt = CompilerOptions::forLevel(level);
+    opt.backend = Backend::Native;
+    double runs[3];
+    for (double& r : runs)
+        r = elemsPerSec(mk(), opt, input, elem_bytes, total_elems);
+    std::sort(runs, runs + 3);
+    return runs[1];
+}
 
 Row
 measure(const std::string& name, const std::function<CompPtr()>& mk,
@@ -49,9 +72,13 @@ measure(const std::string& name, const std::function<CompPtr()>& mk,
 void
 print(const Row& r)
 {
-    printf("%-22s %10.2f %10.2f %10.2f %8.1fx %8.1fx\n", r.name.c_str(),
+    printf("%-22s %10.2f %10.2f %10.2f %8.1fx %8.1fx", r.name.c_str(),
            r.none / 1e6, r.vect / 1e6, r.all / 1e6, r.vect / r.none,
            r.all / r.none);
+    if (r.natNone > 0)
+        printf(" %9.2f %9.2f %9.2f %8.1fx", r.natNone / 1e6,
+               r.natVect / 1e6, r.natAll / 1e6, r.natAll / r.natNone);
+    printf("\n");
 }
 
 } // namespace
@@ -115,16 +142,23 @@ main()
 
     rule();
     printf("Full transmitter data path (M input bits/s), per rate:\n");
-    printf("%-22s %10s %10s %10s %9s %9s\n", "rate", "none", "vect",
-           "all", "vect/none", "all/none");
+    printf("%-22s %10s %10s %10s %9s %9s %9s %9s %9s %9s\n", "rate",
+           "none", "vect", "all", "vect/none", "all/none", "nat none",
+           "nat vect", "nat all", "all/none");
     for (Rate rate : allRates()) {
         const RateInfo& ri = rateInfo(rate);
         uint64_t totalBits =
             static_cast<uint64_t>(ri.ndbps) * 600;
         auto in = randomBits(static_cast<size_t>(ri.ndbps) * 64, 19);
-        Row r = measure("TX" + std::to_string(ri.mbps) + "Mbps",
-                        [rate] { return wifiTxDataComp(rate); }, in, 1,
+        auto mk = [rate] { return wifiTxDataComp(rate); };
+        Row r = measure("TX" + std::to_string(ri.mbps) + "Mbps", mk, in, 1,
                         totalBits);
+        r.natNone = nativeElemsPerSec(mk, OptLevel::None, in, 1,
+                                      totalBits * 10);
+        r.natVect = nativeElemsPerSec(mk, OptLevel::Vectorize, in, 1,
+                                      totalBits * 10);
+        r.natAll = nativeElemsPerSec(mk, OptLevel::All, in, 1,
+                                     totalBits * 10);
         print(r);
     }
 

@@ -499,7 +499,16 @@ crash_matrix() {
         $c --ckpt-dir "$ck" --checkpoint=65536 --out "$out" \
             > /dev/null 2>&1 &
         victim=$!
-        sleep 0.5
+        # SIGKILL once the first checkpoint is published (renamed into
+        # place after fsync), at most DEADLINE_S in: it lands ~0.5 s
+        # into a ~2 s run, so a fixed sleep raced it.
+        t=0
+        while [ "$t" -lt $((DEADLINE_S * 20)) ] &&
+              kill -0 "$victim" 2>/dev/null &&
+              [ -z "$(find "$ck" -name 'ckpt-*.zck' 2>/dev/null)" ]; do
+            sleep 0.05
+            t=$((t + 1))
+        done
         kill -9 "$victim" 2>/dev/null
         wait "$victim" 2>/dev/null
         log="$work/resume_$backend.log"

@@ -9,7 +9,7 @@
  * each call, and its bytecode interpreter uses the very same fields.
  * The generated code reads and writes them directly and calls back
  * through the function pointers for closures it could not inline (host
- * bridges), LUTs, and runtime diagnostics (traps throw FatalError
+ * bridges) and runtime diagnostics (traps throw FatalError
  * host-side, through the same callbacks the VM closures use).
  *
  * ZrCtx is defined in zexpr/zr_sem.h, and that header's text is the

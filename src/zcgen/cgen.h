@@ -45,7 +45,7 @@ struct CgenStats
     int cacheHits = 0;    ///< translation units served from the cache
     int cacheMisses = 0;  ///< translation units not found in the cache
     int fallbacks = 0;    ///< regions left on the bytecode interpreter
-    int hostBridges = 0;  ///< closure and LUT sites calling the host
+    int hostBridges = 0;  ///< closure sites calling the host
     double compileSec = 0.0;   ///< wall time spent in the C++ compiler
     std::string compiler;      ///< compiler version line ("" if none)
     std::string cacheKey;      ///< cache key of the last translation unit

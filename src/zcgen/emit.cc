@@ -945,6 +945,35 @@ class RegionEmitter
         return true;
     }
 
+    /** Closure intoFns[@p fn] writing to @p dst. */
+    void
+    evalInto(int32_t fn, uint32_t dst)
+    {
+        const ExprPtr& src = p_.intoSrc[fn];
+        bool ok = src && tryClosure([&](CppEmitter& ce) {
+            ce.intoExpr(src, "(" + loc(dst) + ")");
+        });
+        if (!ok) {
+            ++bridges_;
+            ln("zc->hostInto(zc->host, " + num(fn) + ", " + loc(dst) +
+               ");");
+        }
+    }
+
+    /** Closure actions[@p fn]. */
+    void
+    action(int32_t fn)
+    {
+        bool have = fn >= 0 && static_cast<size_t>(fn) < p_.actionSrc.size();
+        bool ok = have && tryClosure([&](CppEmitter& ce) {
+            ce.stmtList(p_.actionSrc[fn]);
+        });
+        if (!ok) {
+            ++bridges_;
+            ln("zc->hostAction(zc->host, " + num(fn) + ");");
+        }
+    }
+
     void
     instr(uint32_t pc)
     {
@@ -1036,20 +1065,10 @@ class RegionEmitter
                "]; goto zdispatch;");
             break;
           }
-          case Op::EvalInto: {
-            const ExprPtr& src = p_.intoSrc[i.fn];
-            bool ok = src && tryClosure([&](CppEmitter& ce) {
-                std::string dst = "(" + loc(i.a) + ")";
-                ce.intoExpr(src, dst);
-            });
-            if (!ok) {
-                ++bridges_;
-                ln("zc->hostInto(zc->host, " + num(i.fn) + ", " +
-                   loc(i.a) + ");");
-            }
+          case Op::EvalInto:
+            evalInto(i.fn, i.a);
             ln("goto " + next + ";");
             break;
-          }
           case Op::EvalInt: {
             const ExprPtr& src = p_.intSrc[i.fn];
             bool ok = src && tryClosure([&](CppEmitter& ce) {
@@ -1064,24 +1083,25 @@ class RegionEmitter
             ln("goto " + next + ";");
             break;
           }
-          case Op::Action: {
-            bool have = i.fn >= 0 &&
-                        static_cast<size_t>(i.fn) < p_.actionSrc.size();
-            bool ok = have && tryClosure([&](CppEmitter& ce) {
-                ce.stmtList(p_.actionSrc[i.fn]);
-            });
-            if (!ok) {
-                ++bridges_;
-                ln("zc->hostAction(zc->host, " + num(i.fn) + ");");
-            }
+          case Op::Action:
+            action(i.fn);
             ln("goto " + next + ";");
             break;
-          }
           case Op::Lut:
-            // LUT tables live host-side; always bridge.
-            ++bridges_;
-            ln("zc->hostLut(zc->host, " + num(i.fn) + ", " + loc(i.a) +
-               ");");
+            // The table is the interpreter's; compiled code runs the
+            // kernel it was built from, which computes the same outputs
+            // and state updates.  Each closure gets its own block, so
+            // their temporaries do not collide.
+            if (i.b != kNoTarget) {
+                ln("{");
+                action(static_cast<int32_t>(i.b));
+                ln("}");
+            }
+            if (i.c != kNoTarget) {
+                ln("{");
+                evalInto(static_cast<int32_t>(i.c), i.a);
+                ln("}");
+            }
             ln("goto " + next + ";");
             break;
           case Op::Copy:

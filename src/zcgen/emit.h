@@ -21,16 +21,16 @@ namespace zcgen {
 struct EmitUnit
 {
     std::string source;   ///< self-contained C++ (no repo includes)
-    int hostBridges = 0;  ///< closure and LUT sites calling the host
+    int hostBridges = 0;  ///< closure sites calling the host
 };
 
 /**
- * Emit C++ for @p progs: region @p i becomes `zr_region_<i>`.  Closure
- * ASTs the emitter cannot express compile to host-callback bridges
- * instead (semantics preserved); those and every LUT application are
- * counted in hostBridges.  May allocate
- * fresh frame slots in @p ec's layout (re-inlined call parameters), so
- * it must run before the frame is sized.
+ * Emit C++ for @p progs: region @p i becomes `zr_region_<i>`.  A LUT
+ * site runs the kernel its table was built from.  Closure ASTs the
+ * emitter cannot express compile to host-callback bridges instead
+ * (semantics preserved), counted in hostBridges.  May allocate fresh
+ * frame slots in @p ec's layout (re-inlined call parameters), so it
+ * must run before the frame is sized.
  */
 EmitUnit emitUnit(const std::vector<const zfuse::FuseProgram*>& progs,
                   ExprCompiler& ec);

@@ -51,12 +51,6 @@ cbAction(void* host, int32_t idx)
     node(host).program().actions[idx](node(host).frame());
 }
 
-void
-cbLut(void* host, int32_t idx, uint8_t* dst)
-{
-    node(host).program().luts[idx]->apply(node(host).frame(), dst);
-}
-
 } // namespace
 
 NodePtr
@@ -127,7 +121,6 @@ buildNodeNative(const CompPtr& c, ExprCompiler& ec,
     host.hostInto = &cbInto;
     host.hostInt = &cbInt;
     host.hostAction = &cbAction;
-    host.hostLut = &cbLut;
     for (size_t i = 0; i < regions.size(); ++i) {
         std::string sym = "zr_region_" + std::to_string(i);
         void* fp = jr.lib->sym(sym.c_str());

@@ -46,7 +46,7 @@
 // -----------------------------------------------------------------------
 
 /** Bump on any change to ZrCtx; the loader checks each unit's zr_abi. */
-constexpr int kZrAbiVersion = 1;
+constexpr int kZrAbiVersion = 2;
 
 extern "C" {
 
@@ -74,7 +74,6 @@ struct ZrCtx
     void (*hostInto)(void* host, int32_t idx, uint8_t* dst);
     int64_t (*hostInt)(void* host, int32_t idx);
     void (*hostAction)(void* host, int32_t idx);
-    void (*hostLut)(void* host, int32_t idx, uint8_t* dst);
     void (*trapMsg)(void* host, const char* msg);
     void (*trapIndex)(void* host, int64_t k, int64_t n);
     void (*trapSlice)(void* host, int64_t k, int64_t kEnd, int64_t n);

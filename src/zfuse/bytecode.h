@@ -61,7 +61,9 @@ enum class Op : uint8_t {
     EvalInto,     ///< fn=intoFns index, a=dst
     EvalInt,      ///< fn=intFns index, a=reg
     Action,       ///< fn=actions index
-    Lut,          ///< fn=luts index, a=retDst
+    Lut,          ///< fn=luts index, a=retDst; b=actions, c=intoFns
+                  ///< index of the kernel the table replaces (or
+                  ///< kNoTarget), which native code runs instead
     // --- data movement ------------------------------------------------
     Copy,         ///< a=dst, b=src, c=width
     Zero,         ///< a=dst, b=width

@@ -120,7 +120,7 @@ class FusedNode : public ExecNode
     /**
      * Run this region as compiled code from now on (src/zcgen/):
      * advance() calls @p fn over this node's state, with the bridge
-     * callbacks (hostInto/hostInt/hostAction/hostLut) taken from
+     * callbacks (hostInto/hostInt/hostAction) taken from
      * @p hostTable; the trap callbacks are set at construction.  @p lib
      * keeps the shared object alive.
      */

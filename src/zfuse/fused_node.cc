@@ -65,7 +65,6 @@ FusedNode::bindNative(std::shared_ptr<zcgen::Library> lib,
     ctx_.hostInto = hostTable.hostInto;
     ctx_.hostInt = hostTable.hostInt;
     ctx_.hostAction = hostTable.hostAction;
-    ctx_.hostLut = hostTable.hostLut;
 }
 
 void

@@ -626,9 +626,17 @@ class Lowerer
             bind(loopL);
             takeInto(ctx, param, inW);
             if (lut) {
+                // The interpreter applies the table; the native emitter
+                // inlines the kernel it was built from, so both closures
+                // ride along.  The instruction stream is the same either
+                // way, which keeps pcs (and checkpoints) portable.
                 Instr li{Op::Lut};
                 li.fn = addLut(std::move(lut));
                 li.a = dst;
+                li.b = k.body ? uint32_t(addAction(k.body, k.bodySrc))
+                              : kNoTarget;
+                li.c = k.retInto ? uint32_t(addInto(k.retInto, k.retSrc))
+                                 : kNoTarget;
                 emit(li);
             } else {
                 if (k.body) {
@@ -1004,6 +1012,10 @@ FuseProgram::disassemble() const
             break;
           case Op::Lut:
             os << " lut" << in.fn << " -> " << locStr(in.a);
+            if (in.b != kNoTarget)
+                os << " body fn" << in.b;
+            if (in.c != kNoTarget)
+                os << " ret fn" << in.c;
             break;
           case Op::Copy:
             os << " " << locStr(in.a) << " <- " << locStr(in.b) << " w"

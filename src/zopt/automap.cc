@@ -12,6 +12,127 @@ namespace {
 
 std::atomic<int> autoMapCounter{1};
 
+bool callsNoLut(const StmtList& stmts);
+
+/**
+ * Does @p e call a function annotated noLut?  Callee bodies are not
+ * searched: `map f` itself LUTs unless f carries the annotation.
+ */
+bool
+callsNoLut(const ExprPtr& e)
+{
+    if (!e)
+        return false;
+    switch (e->kind()) {
+      case ExprKind::Const:
+      case ExprKind::Var:
+        return false;
+      case ExprKind::Bin: {
+        const auto& b = static_cast<const BinExpr&>(*e);
+        return callsNoLut(b.lhs()) || callsNoLut(b.rhs());
+      }
+      case ExprKind::Un:
+        return callsNoLut(static_cast<const UnExpr&>(*e).sub());
+      case ExprKind::Cast:
+        return callsNoLut(static_cast<const CastExpr&>(*e).sub());
+      case ExprKind::Index: {
+        const auto& i = static_cast<const IndexExpr&>(*e);
+        return callsNoLut(i.arr()) || callsNoLut(i.idx());
+      }
+      case ExprKind::Slice: {
+        const auto& s = static_cast<const SliceExpr&>(*e);
+        return callsNoLut(s.arr()) || callsNoLut(s.base());
+      }
+      case ExprKind::Field:
+        return callsNoLut(static_cast<const FieldExpr&>(*e).rec());
+      case ExprKind::Call: {
+        const auto& c = static_cast<const CallExpr&>(*e);
+        if (c.fun()->noLut)
+            return true;
+        for (const auto& a : c.args())
+            if (callsNoLut(a))
+                return true;
+        return false;
+      }
+      case ExprKind::ArrayLit:
+        for (const auto& el : static_cast<const ArrayLitExpr&>(*e).elems())
+            if (callsNoLut(el))
+                return true;
+        return false;
+      case ExprKind::StructLit:
+        for (const auto& fe :
+             static_cast<const StructLitExpr&>(*e).fieldExprs())
+            if (callsNoLut(fe))
+                return true;
+        return false;
+      case ExprKind::Cond: {
+        const auto& c = static_cast<const CondExpr&>(*e);
+        return callsNoLut(c.cond()) || callsNoLut(c.thenE()) ||
+               callsNoLut(c.elseE());
+      }
+    }
+    return false;
+}
+
+bool
+callsNoLut(const StmtList& stmts)
+{
+    for (const auto& s : stmts) {
+        switch (s->kind()) {
+          case StmtKind::Assign: {
+            const auto& a = static_cast<const AssignStmt&>(*s);
+            if (callsNoLut(a.lhs()) || callsNoLut(a.rhs()))
+                return true;
+            break;
+          }
+          case StmtKind::If: {
+            const auto& i = static_cast<const IfStmt&>(*s);
+            if (callsNoLut(i.cond()) || callsNoLut(i.thenStmts()) ||
+                callsNoLut(i.elseStmts()))
+                return true;
+            break;
+          }
+          case StmtKind::For: {
+            const auto& f = static_cast<const ForStmt&>(*s);
+            if (callsNoLut(f.lo()) || callsNoLut(f.hi()) ||
+                callsNoLut(f.body()))
+                return true;
+            break;
+          }
+          case StmtKind::While: {
+            const auto& w = static_cast<const WhileStmt&>(*s);
+            if (callsNoLut(w.cond()) || callsNoLut(w.body()))
+                return true;
+            break;
+          }
+          case StmtKind::VarDecl:
+            if (callsNoLut(static_cast<const VarDeclStmt&>(*s).init()))
+                return true;
+            break;
+          case StmtKind::Eval:
+            if (callsNoLut(static_cast<const EvalStmt&>(*s).expr()))
+                return true;
+            break;
+        }
+    }
+    return false;
+}
+
+/**
+ * A kernel the passes build around calls to a noLut function (the
+ * vectorizer's repeat over `map f`, a fused `f_then_g`) is itself never
+ * LUT'd: the annotation survives the rewrite.
+ */
+FunRef
+kernelFun(std::string name, VarRef param, StmtList body, ExprPtr ret)
+{
+    bool noLut = callsNoLut(body) || callsNoLut(ret);
+    FunRef f = zb::fun(std::move(name), {std::move(param)}, std::move(body),
+                       std::move(ret));
+    std::const_pointer_cast<FunDef>(f)->noLut = noLut;
+    return f;
+}
+
 /**
  * Attempt to turn a repeat body into a map kernel.  The body must take
  * exactly one element and emit exactly one element per iteration.
@@ -94,7 +215,7 @@ tryMakeMapFun(const CompPtr& body)
 
     std::string name =
         "auto_map_" + std::to_string(autoMapCounter.fetch_add(1));
-    return zb::fun(std::move(name), {param}, std::move(body), retE);
+    return kernelFun(std::move(name), param, std::move(body), retE);
 }
 
 CompPtr
@@ -176,8 +297,8 @@ fuseMaps(const CompPtr& c, MapStats* stats)
             if (refless) {
                 VarRef x = freshVar("x", f->params[0]->type);
                 ExprPtr body = zb::call(g, {zb::call(f, {zb::var(x)})});
-                FunRef h = zb::fun(f->name + "_then_" + g->name, {x}, {},
-                                   std::move(body));
+                FunRef h = kernelFun(f->name + "_then_" + g->name, x, {},
+                                     std::move(body));
                 if (stats)
                     ++stats->fused;
                 return zb::mapc(h);

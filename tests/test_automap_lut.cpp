@@ -185,6 +185,42 @@ TEST(AutoLut, DisabledByNoLutAnnotation)
     EXPECT_EQ(rep.build.lutsBuilt, 0);
 }
 
+/** `map f` over int8, f annotated noLut or not. */
+FunRef
+flipFun(bool noLut)
+{
+    VarRef x = freshVar("x", Type::int8());
+    auto f = std::make_shared<FunDef>(
+        *fun("flip", {x}, {}, var(x) ^ lit(Type::int8(), 0x5a)));
+    f->noLut = noLut;
+    return f;
+}
+
+TEST(AutoLut, NoLutSurvivesVectorizationAndFusion)
+{
+    // The vectorizer rewrites `map f` into a repeat over calls to f and
+    // auto-map turns that back into a fresh kernel; map fusion composes
+    // two kernels into one.  Neither may drop f's noLut.
+    CompilerOptions all = CompilerOptions::forLevel(OptLevel::All);
+    ASSERT_TRUE(all.vectorize);
+    CompileReport lut, vect, fused;
+    compilePipeline(mapc(flipFun(false)), all, &lut);
+    compilePipeline(mapc(flipFun(true)), all, &vect);
+    compilePipeline(pipe(mapc(flipFun(false)), mapc(flipFun(true))), all,
+                    &fused);
+    EXPECT_EQ(lut.build.lutsBuilt, 1);
+    EXPECT_EQ(vect.build.lutsBuilt, 0);
+    EXPECT_EQ(fused.build.lutsBuilt, 0);
+    EXPECT_GE(fused.maps.fused, 1);
+
+    // ... and both still compute f.
+    auto input = intsBytes(300, 4);
+    auto ref = compilePipeline(mapc(flipFun(true)),
+                               CompilerOptions::forLevel(OptLevel::None));
+    auto p = compilePipeline(mapc(flipFun(true)), all);
+    EXPECT_EQ(p->runBytes(input), ref->runBytes(input));
+}
+
 TEST(AutoLut, PureMapKernelLuts)
 {
     VarRef x = freshVar("x", Type::array(Type::bit(), 8));

@@ -156,8 +156,9 @@ nativeConf(OptLevel lvl = OptLevel::None)
 }
 
 /** A minimal valid translation unit for direct compileUnit tests. */
-const char* const kToySource =
-    "extern \"C\" int zr_abi(void) { return 1; }\n"
+const std::string kToySource =
+    "extern \"C\" int zr_abi(void) { return " +
+    std::to_string(zcgen::kZrAbiVersion) + "; }\n"
     "extern \"C\" int zr_toy(int x) { return x + 41; }\n";
 
 // ------------------------------------------------- matrix shape/axes
@@ -313,17 +314,35 @@ TEST(NativeLowering, TracingReportsRegionsAsCgen)
     EXPECT_GT(nm.advances, 0u);
 }
 
-TEST(NativeLowering, LutApplicationsCountAsHostBridges)
+TEST(NativeLowering, LutSitesCompileInline)
 {
-    // Generated code applies every LUT through zc->hostLut, so an
-    // auto-LUT region is not bridge-free even when every closure
-    // inlines.
+    // Generated code runs the kernel a LUT was built from instead of
+    // calling back into the host table, so an auto-LUT region is
+    // bridge-free; the table stays for the interpreter.
     if (!zcgen::compilerAvailable())
         GTEST_SKIP() << "no C++ compiler on this host";
     CompileReport rep;
-    compilePipeline(scramblerBlock(), nativeConf(OptLevel::All), &rep);
+    auto n = compilePipeline(scramblerBlock(), nativeConf(OptLevel::All),
+                             &rep);
     ASSERT_GT(rep.build.lutsBuilt, 0);
-    EXPECT_GT(rep.cgen.hostBridges, 0);
+    EXPECT_EQ(rep.cgen.hostBridges, 0);
+    EXPECT_EQ(rep.cgen.fallbacks, 0);
+    auto vm = compilePipeline(scramblerBlock(),
+                              CompilerOptions::forLevel(OptLevel::All));
+    Rng rng(11);
+    std::vector<uint8_t> bits(4099);
+    for (auto& b : bits)
+        b = rng.bit();
+    EXPECT_EQ(n->runBytes(bits), vm->runBytes(bits));
+
+    // The whole WiFi TX data path, every rate.
+    for (Rate r : allRates()) {
+        CompileReport tr;
+        compilePipeline(wifiTxDataComp(r), nativeConf(OptLevel::All), &tr);
+        EXPECT_GT(tr.build.lutsBuilt, 0) << rateInfo(r).mbps << " Mbps";
+        EXPECT_EQ(tr.cgen.hostBridges, 0) << rateInfo(r).mbps << " Mbps";
+        EXPECT_EQ(tr.cgen.fallbacks, 0) << rateInfo(r).mbps << " Mbps";
+    }
 }
 
 // ------------------------------------------- differential equivalence
@@ -640,7 +659,7 @@ TEST(CgenCache, DifferentSourceMissesWithDifferentKey)
 
     auto a = zcgen::compileUnit(kToySource, dir);
     ASSERT_NE(a.lib, nullptr) << a.error;
-    std::string other = std::string(kToySource) +
+    std::string other = kToySource +
                         "extern \"C\" int zr_toy2(int x) { return x; }\n";
     auto b = zcgen::compileUnit(other, dir);
     ASSERT_NE(b.lib, nullptr) << b.error;

@@ -18,6 +18,7 @@
  */
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "support/rng.h"
 #include "support/shapes.h"
 #include "support/state_io.h"
+#include "wifi/blocks_tx.h"
 #include "wifi/rx.h"
 #include "wifi/tx.h"
 #include "zexec/faultpoint.h"
@@ -383,12 +385,33 @@ compileFor(const CompPtr& c, OptLevel lvl, Backend be, bool bind = true)
     return p;
 }
 
-TEST(SnapshotRoundTrip, PortableAcrossFusedAndNative)
+bool
+sameInstrs(const zfuse::FuseProgram& x, const zfuse::FuseProgram& y)
 {
-    // One region state, one snapshot format: a checkpoint taken while
-    // compiled code runs restores into the interpreter and back.
-    if (!zcgen::compilerAvailable())
-        GTEST_SKIP() << "no C++ compiler on this host";
+    if (x.instrs.size() != y.instrs.size() || x.nRegs != y.nRegs ||
+        x.stateBytes != y.stateBytes ||
+        x.channels.size() != y.channels.size())
+        return false;
+    for (size_t i = 0; i < x.instrs.size(); ++i) {
+        const zfuse::Instr& a = x.instrs[i];
+        const zfuse::Instr& b = y.instrs[i];
+        if (a.op != b.op || a.a != b.a || a.b != b.b || a.c != b.c ||
+            a.d != b.d || a.e != b.e || a.fn != b.fn)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Checkpoint @p make's pipeline after @p at input elements on one backend,
+ * resume it on another, and compare the whole output with the VM's:
+ * native -> fused, fused -> native and native -> unbound native.
+ */
+void
+checkPortable(const std::function<CompPtr()>& make, OptLevel lvl,
+              const std::vector<uint8_t>& bytes, size_t at,
+              const std::string& what)
+{
     struct Leg
     {
         const char* name;
@@ -402,35 +425,83 @@ TEST(SnapshotRoundTrip, PortableAcrossFusedAndNative)
         {"native -> unbound native", Backend::Native, Backend::Native,
          false},
     };
+    auto vm = compileFor(make(), lvl, Backend::Vm);
+    auto want = driveUpTo(*vm, bytes, 0, SIZE_MAX, true);
+    for (const Leg& leg : legs) {
+        SCOPED_TRACE(what + " at OptLevel " +
+                     (lvl == OptLevel::None ? "None" : "All") + ", " +
+                     leg.name);
+        auto src = compileFor(make(), lvl, leg.from);
+        auto dst = compileFor(make(), lvl, leg.to, leg.toBound);
+        auto head = driveUpTo(*src, bytes, 0, at, true);
+        auto snap = takeSnapshot(src->root(), src->frame(),
+                                 head.consumed, 0);
+        restoreSnapshot(dst->root(), dst->frame(), snap);
+        auto tail = driveUpTo(*dst, bytes, head.consumed, SIZE_MAX, false);
+        std::vector<uint8_t> got = head.out;
+        got.insert(got.end(), tail.out.begin(), tail.out.end());
+        EXPECT_EQ(got, want.out);
+        EXPECT_EQ(head.consumed + tail.consumed, want.consumed);
+        EXPECT_EQ(tail.done, want.done);
+    }
+}
+
+TEST(SnapshotRoundTrip, PortableAcrossFusedAndNative)
+{
+    // One region state, one snapshot format: a checkpoint taken while
+    // compiled code runs restores into the interpreter and back.
+    if (!zcgen::compilerAvailable())
+        GTEST_SKIP() << "no C++ compiler on this host";
     for (const Shape& sh : resetShapes()) {
         for (OptLevel lvl : {OptLevel::None, OptLevel::All}) {
-            auto vm = compileFor(sh.make(), lvl, Backend::Vm);
-            std::vector<int32_t> in(24 * (vm->inWidth() / 4));
+            size_t inW = compileFor(sh.make(), lvl, Backend::Vm)->inWidth();
+            std::vector<int32_t> in(24 * (inW / 4));
             for (size_t i = 0; i < in.size(); ++i)
                 in[i] = static_cast<int32_t>(7 * i + 3);
-            auto bytes = intBytes(in);
-            auto want = driveUpTo(*vm, bytes, 0, SIZE_MAX, true);
-
-            for (const Leg& leg : legs) {
-                SCOPED_TRACE(std::string(sh.name) + " at OptLevel " +
-                             (lvl == OptLevel::None ? "None" : "All") +
-                             ", " + leg.name);
-                auto src = compileFor(sh.make(), lvl, leg.from);
-                auto dst =
-                    compileFor(sh.make(), lvl, leg.to, leg.toBound);
-                auto head = driveUpTo(*src, bytes, 0, 5, true);
-                auto snap = takeSnapshot(src->root(), src->frame(),
-                                         head.consumed, 0);
-                restoreSnapshot(dst->root(), dst->frame(), snap);
-                auto tail = driveUpTo(*dst, bytes, head.consumed,
-                                      SIZE_MAX, false);
-                std::vector<uint8_t> got = head.out;
-                got.insert(got.end(), tail.out.begin(), tail.out.end());
-                EXPECT_EQ(got, want.out);
-                EXPECT_EQ(head.consumed + tail.consumed, want.consumed);
-                EXPECT_EQ(tail.done, want.done);
-            }
+            checkPortable(sh.make, lvl, intBytes(in), 5, sh.name);
         }
+    }
+
+    // Bit-domain programs LUT at OptLevel::All: the interpreter applies
+    // the tables, compiled code runs the kernels, and one checkpoint
+    // still resumes on either because both run one instruction stream.
+    using namespace wifi;
+    const Shape lutShapes[] = {
+        {"scrambler", [] { return scramblerBlock(); }},
+        {"tx6-chain",
+         [] {
+             const RateInfo& ri = rateInfo(Rate::R6);
+             return zb::pipe(
+                 zb::pipe(zb::pipe(scramblerBlock(),
+                                   encoderBlock(ri.coding)),
+                          interleaverBlock(ri.modulation)),
+                 modulatorBlock(ri.modulation));
+         }},
+    };
+    std::vector<uint8_t> bits(24 * 48);
+    Rng rng(21);
+    for (auto& b : bits)
+        b = rng.bit();
+    for (const Shape& sh : lutShapes) {
+        SCOPED_TRACE(sh.name);
+        CompileReport rep;
+        CompilerOptions all = CompilerOptions::forLevel(OptLevel::All);
+        all.backend = Backend::Native;
+        auto native = compilePipeline(sh.make(), all, &rep);
+        ASSERT_GT(rep.build.lutsBuilt, 0);
+        all.backend = Backend::Fused;
+        auto fused = compilePipeline(sh.make(), all);
+        auto* nr = dynamic_cast<const FusedNode*>(&native->root());
+        auto* fr = dynamic_cast<const FusedNode*>(&fused->root());
+        ASSERT_TRUE(nr && fr) << "expected one region at the root";
+        EXPECT_TRUE(nr->bound());
+        EXPECT_FALSE(fr->bound());
+        EXPECT_GT(fr->program().countOp(zfuse::Op::Lut), 0u);
+        EXPECT_TRUE(sameInstrs(nr->program(), fr->program()))
+            << "fused:\n" << fr->program().disassemble() << "native:\n"
+            << nr->program().disassemble();
+        // Mid-packet: several kernel applications in, off a group edge.
+        checkPortable(sh.make, OptLevel::All, bits, 101, sh.name);
     }
 }
 

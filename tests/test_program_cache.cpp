@@ -267,12 +267,9 @@ TEST(ProgramCache, NoLutMisses)
 {
     expectDistinct([] { return byteMap(false); },
                    [] { return byteMap(true); });
-    // ... and the miss matters: only the first one LUTs.  (Without
-    // vectorization: the vectorizer rebuilds the kernel and drops the
-    // annotation.)
+    // ... and the miss matters: only the first one LUTs.
     ProgramCache::global().clear();
     CompilerOptions opt = CompilerOptions::forLevel(OptLevel::All);
-    opt.vectorize = false;
     CompileReport lut, plain;
     compilePipeline(byteMap(false), opt, &lut);
     compilePipeline(byteMap(true), opt, &plain);
