@@ -11,8 +11,7 @@
  *  (2) full WiFi TX chain throughput at all eight rates, vm vs fused
  *      vs native, unoptimized and fully optimized;
  *  (3) full WiFi RX data path at all eight rates (the receiver leans on
- *      native blocks, so the fused regions hang below a VM fallback
- *      spine — the realistic mixed shape);
+ *      native blocks, which run as sites inside the one region);
  *  (4) native backend compile cost: cold cache (emit + C++ compile +
  *      dlopen) vs warm cache (CRC-verified hit, no compiler run).
  *
@@ -235,8 +234,8 @@ main()
     w.endArray();
 
     // ---- (3) full RX data path, all 8 rates --------------------------
-    printf("\nWiFi RX data path (native blocks -> VM fallback spine "
-           "with fused regions), M samples/s:\n");
+    printf("\nWiFi RX data path (native blocks as region sites), "
+           "M samples/s:\n");
     rule();
     printf("%-10s %10s %10s %10s %8s %8s\n", "rate", "vm", "fused",
            "native", "fz/vm", "ng/vm");

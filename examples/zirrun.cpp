@@ -15,11 +15,11 @@
  * printed, together with the compile report (chosen vectorization
  * widths, LUTs built) — a miniature of the paper's `wplc` driver.
  *
- * `--backend fused` lowers maximal fusible subtrees into the linear
- * bytecode interpreter (docs/FUSION.md) instead of the closure-tree VM;
- * constructs the fuser cannot flatten (threaded `|>>>|` partitions,
- * native blocks) fall back to VM combinators node by node.  The compile
- * summary reports `fused N region(s), M fallback(s)`.  `--backend
+ * `--backend fused` lowers the program into the linear bytecode
+ * interpreter (docs/FUSION.md) instead of the closure-tree VM: one
+ * region per pipeline, or per `|>>>|` partition when threaded, with
+ * native blocks running as sites inside it.  The compile summary
+ * reports `fused N region(s)`.  `--backend
  * native` runs the same regions as machine code compiled from emitted
  * C++ (docs/CODEGEN.md; `--cgen-cache-dir DIR` picks the shared-object
  * cache); a region that cannot be compiled is interpreted instead.
@@ -734,10 +734,9 @@ main(int argc, char** argv)
                     rep.vect.chosenIn, rep.vect.chosenOut,
                     rep.build.lutsBuilt, rep.build.lutBytes / 1024);
         if (backend == Backend::Fused)
-            std::printf("fused %d region(s) (%d op(s), %d channel(s)), "
-                        "%d fallback(s)\n",
+            std::printf("fused %d region(s) (%d op(s), %d channel(s))\n",
                         rep.fuse.nodesFused, rep.fuse.fusedOps,
-                        rep.fuse.channels, rep.fuse.fallbacks);
+                        rep.fuse.channels);
         if (backend == Backend::Native)
             std::printf("cgen %d region(s): %d native (%s, %.1f ms, "
                         "%d bridge(s)), %d fallback(s)\n",

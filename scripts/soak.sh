@@ -17,8 +17,8 @@
 # with `--backend=fused`: the fused bytecode interpreter must compose
 # with every robustness control exactly like the VM — same exit code in
 # every cell.  The cgen matrix (docs/CODEGEN.md) repeats that grid with
-# `--backend=native` (dlopen'd compiled regions), adds the loud-refusal
-# cell (stage restart) and a warm-.so-cache byte-equality check.
+# `--backend=native` (dlopen'd compiled regions), adds a stage-scoped
+# restart cell and a warm-.so-cache byte-equality check.
 #
 # The migrate matrix (docs/ROBUSTNESS.md, "Checkpointing & migration")
 # checks the zero-loss claims end to end through the CLI: a faulted run
@@ -282,8 +282,7 @@ fuse_matrix() {
 # Cgen matrix: {backend=native} x {fault} x {restart} x {serve}.  The
 # native backend dlopens compiled regions behind the same ExecNode seam
 # (docs/CODEGEN.md), so every robustness cell must exit exactly like
-# its VM/fused twins; the refusal cell pins the loud compile-time
-# error for stage-scoped restart, and the warm-cache cell
+# its VM/fused twins, stage-scoped restart included; the warm-cache cell
 # proves a second run (served from the .so cache) emits the same
 # summary as the cold one.  Runs against a private cache dir so the
 # matrix is deterministic and leaves nothing behind.
@@ -323,11 +322,13 @@ cgen_matrix() {
             --cgen-cache-dir "$cache" --serve=2000 \
             --inject-fault throw@100 --restart 3 --backoff-ms 1
 
-    # Loud refusal (docs/ROBUSTNESS.md support matrix): a user error at
-    # compile time, never a silent fallback.
-    check 2 "cgen/refuse stage restart" \
-            $BIN examples/zir/pipeline.zir --backend=native --bytes 4096 \
-            --restart 2 --restart-scope stage
+    # Stage-scoped restart (docs/ROBUSTNESS.md support matrix): each
+    # |>>>| partition is one compiled region, re-armed alone.
+    check 0 "cgen/pipeline stage-scope transient heals" \
+            $BIN examples/zir/pipeline.zir --opt none --backend=native \
+            --cgen-cache-dir "$cache" --bytes 4096 \
+            --restart-scope stage --inject-fault throw@2 \
+            --restart 3 --backoff-ms 1
 
     # Warm cache: the second clean run must be served from the .so
     # cache and print the identical output summary.

@@ -2,15 +2,16 @@
  * @file
  * The host <-> generated-code ABI for the native backend.
  *
- * A generated region is `extern "C" int zr_region_<i>(ZrCtx*)` returning
+ * A generated region is `extern "C" int zr_region(ZrCtx*)` returning
  * the ExecNode status (0 = Yield, 1 = NeedInput, 2 = Done).  The
  * context IS the region's state: FusedNode (zfuse/fuse.h) keeps its pc,
  * spaces and out/ctrl pointers here, points `fr` at the frame before
  * each call, and its bytecode interpreter uses the very same fields.
  * The generated code reads and writes them directly and calls back
  * through the function pointers for closures it could not inline (host
- * bridges) and runtime diagnostics (traps throw FatalError
- * host-side, through the same callbacks the VM closures use).
+ * bridges), for native DSP sites (hostSite: the kernels are host code)
+ * and runtime diagnostics (traps throw FatalError host-side, through
+ * the same callbacks the VM closures use).
  *
  * ZrCtx is defined in zexpr/zr_sem.h, and that header's text is the
  * preamble of every generated unit, so host and generated code compile

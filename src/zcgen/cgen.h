@@ -3,24 +3,24 @@
  * The native code-generation backend: emit + dlopen compiled C++.
  *
  * This is the paper's "compile Ziria to C" execution story taken to its
- * end: instead of interpreting fused bytecode (src/zfuse/), each fused
+ * end: instead of interpreting fused bytecode (src/zfuse/), the fused
  * region is re-emitted as one self-contained straight-line C++ function
  * — external takes/emits become the same parked-pc protocol, internal
- * `>>>` channels become direct `goto`s, and expression closures are
- * inlined as scalar/array code — then compiled with the system C++
- * compiler into a shared object and bound through `dlopen` to the
- * region's FusedNode, which keeps its one state (so checkpoints are
- * portable between fused and native).  Region finding is the fused
- * backend's maximal-fusible-subtree walk (`buildNodeFused`), so native
- * blocks and `|>>>|` boundaries keep their VM-spine fallback and the
- * Spin livelock diagnostic is preserved verbatim.
+ * `>>>` channels become direct `goto`s, expression closures are
+ * inlined as scalar/array code and native DSP sites call their kernels
+ * on the host — then compiled with the system C++ compiler into a
+ * shared object and bound through `dlopen` to the region's FusedNode,
+ * which keeps its one state (so checkpoints are portable between fused
+ * and native).  The fused build makes one region per pipeline (per
+ * `|>>>|` partition when threaded), and the Spin livelock diagnostic
+ * is preserved verbatim.
  *
  * Compiled objects are cached on disk keyed by a hash of the emitted
  * source, the compiler version and the flags; a CRC-checked manifest
  * guards against torn or corrupted cache entries (same hygiene as
  * zexec/ckpt_store.h).  No working compiler, a failed compile, or a
- * missing symbol all degrade loudly to the bytecode interpreter for the
- * affected regions (fallback ladder: native -> fused -> vm).
+ * missing symbol all degrade loudly to the bytecode interpreter
+ * (fallback ladder: native -> fused).
  *
  * Selected via `CompilerOptions::backend` / `zirrun --backend=native`.
  * Emission strategy, cache-key derivation and the security rationale
@@ -39,7 +39,7 @@ namespace ziria {
 /** Statistics from one native build (CompileReport::cgen). */
 struct CgenStats
 {
-    int regions = 0;      ///< fused regions found by the region walk
+    int regions = 0;      ///< fused regions built (one per build)
     int emitted = 0;      ///< regions emitted as C++
     int compiled = 0;     ///< translation units compiled this run
     int cacheHits = 0;    ///< translation units served from the cache
@@ -107,7 +107,7 @@ std::string fnv1a64Hex(const std::string& data);
 
 /**
  * Build the execution tree with the native backend: the fused build
- * runs unchanged, then each region's FusedNode is bound to dlopen'd
+ * runs unchanged, then its region's FusedNode is bound to dlopen'd
  * machine code (or left interpreting when compilation is unavailable —
  * counted in @p cstats->fallbacks and in the `ziria.cgen.fallbacks`
  * metric).  Drop-in replacement for buildNodeFused.  @p cacheDir empty

@@ -865,12 +865,12 @@ class CppEmitter
 // Region translation
 // -----------------------------------------------------------------------
 
-/** Translates one FuseProgram into `zr_region_<idx>`. */
+/** Translates one FuseProgram into `zr_region`. */
 class RegionEmitter
 {
   public:
-    RegionEmitter(const FuseProgram& p, int idx, FrameLayout& layout)
-        : p_(p), idx_(idx), layout_(layout)
+    RegionEmitter(const FuseProgram& p, FrameLayout& layout)
+        : p_(p), layout_(layout)
     {
     }
 
@@ -879,8 +879,7 @@ class RegionEmitter
     std::string
     emit()
     {
-        out_ += "extern \"C\" int zr_region_" + std::to_string(idx_) +
-                "(ZrCtx* zc)\n{\n";
+        out_ += "extern \"C\" int zr_region(ZrCtx* zc)\n{\n";
         out_ += "  uint8_t* const fr = zc->fr; (void)fr;\n";
         out_ += "  uint8_t* const st = zc->st; (void)st;\n";
         out_ += "  int64_t* const regs = zc->regs; (void)regs;\n";
@@ -1104,6 +1103,20 @@ class RegionEmitter
             }
             ln("goto " + next + ";");
             break;
+          case Op::SiteStart:
+          case Op::SiteSupply:
+            // The kernels are host code: one call through hostSite,
+            // which runs the same FusedNode::site as the interpreter.
+            ln("zc->hostSite(zc->host, " + I + ");");
+            ln("goto " + next + ";");
+            break;
+          case Op::SitePull:
+            ln("switch (zc->hostSite(zc->host, " + I + ")) {");
+            ln("  case 0: goto " + next + ";");
+            ln("  case 1: goto " + label(i.c) + ";");
+            ln("  default: goto " + label(i.d) + ";");
+            ln("}");
+            break;
           case Op::Copy:
             ln("memcpy(" + loc(i.a) + ", " + loc(i.b) + ", " + num(i.c) +
                ");");
@@ -1173,7 +1186,6 @@ class RegionEmitter
     }
 
     const FuseProgram& p_;
-    int idx_;
     FrameLayout& layout_;
     int bridges_ = 0;
     std::string out_;
@@ -1182,7 +1194,7 @@ class RegionEmitter
 } // namespace
 
 EmitUnit
-emitUnit(const std::vector<const FuseProgram*>& progs, ExprCompiler& ec)
+emitUnit(const FuseProgram& prog, ExprCompiler& ec)
 {
     // The preamble: zr_sem.h verbatim, then the ABI version symbol.
     EmitUnit u;
@@ -1191,12 +1203,9 @@ emitUnit(const std::vector<const FuseProgram*>& progs, ExprCompiler& ec)
     u.source += "\nusing std::memcpy;\nusing std::memmove;\n"
                 "using std::memset;\n\n"
                 "extern \"C\" int zr_abi(void) { return kZrAbiVersion; }\n\n";
-    for (size_t i = 0; i < progs.size(); ++i) {
-        RegionEmitter re(*progs[i], static_cast<int>(i), ec.layout());
-        u.source += re.emit();
-        u.source += "\n";
-        u.hostBridges += re.hostBridges();
-    }
+    RegionEmitter re(prog, ec.layout());
+    u.source += re.emit();
+    u.hostBridges = re.hostBridges();
     return u;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Internal: translate lowered fused regions into one C++ source unit.
+ * Internal: translate a lowered fused region into one C++ source unit.
  *
  * Not installed API — only native.cc (the build driver) and the
  * tests include this.  docs/CODEGEN.md describes the emission strategy.
@@ -17,7 +17,7 @@
 namespace ziria {
 namespace zcgen {
 
-/** One emitted translation unit covering several regions. */
+/** One emitted translation unit: a region's `zr_region`. */
 struct EmitUnit
 {
     std::string source;   ///< self-contained C++ (no repo includes)
@@ -25,15 +25,15 @@ struct EmitUnit
 };
 
 /**
- * Emit C++ for @p progs: region @p i becomes `zr_region_<i>`.  A LUT
- * site runs the kernel its table was built from.  Closure ASTs the
- * emitter cannot express compile to host-callback bridges instead
- * (semantics preserved), counted in hostBridges.  May allocate fresh
- * frame slots in @p ec's layout (re-inlined call parameters), so it
- * must run before the frame is sized.
+ * Emit C++ for @p prog as `extern "C" int zr_region(ZrCtx*)`.  A LUT
+ * site runs the kernel its table was built from; a native site calls
+ * back through ZrCtx::hostSite.  Closure ASTs the emitter cannot
+ * express compile to host-callback bridges instead (semantics
+ * preserved), counted in hostBridges.  May allocate fresh frame slots
+ * in @p ec's layout (re-inlined call parameters), so it must run
+ * before the frame is sized.
  */
-EmitUnit emitUnit(const std::vector<const zfuse::FuseProgram*>& progs,
-                  ExprCompiler& ec);
+EmitUnit emitUnit(const zfuse::FuseProgram& prog, ExprCompiler& ec);
 
 } // namespace zcgen
 } // namespace ziria

@@ -3,13 +3,13 @@
  * The native build driver and the host side of the ZrCtx ABI.
  *
  * buildNodeNative runs the fused build unchanged, then emits + compiles
- * ONE translation unit covering every region it created, so a pipeline
- * pays at most one compiler invocation (usually zero: the shared-object
- * cache in jit.cc), and binds each region's `zr_region_<i>` to its
- * FusedNode.  The node keeps its one state either way; a region left
- * unbound — no compiler on the host, a failed compile, a missing symbol
- * — simply interprets, so the fallback ladder (native -> fused) never
- * changes observable behaviour, only speed.
+ * ONE translation unit for the one region it created, so a pipeline
+ * (or `|>>>|` partition) pays at most one compiler invocation (usually
+ * zero: the shared-object cache in jit.cc), and binds the unit's
+ * `zr_region` to the FusedNode.  The node keeps its one state either
+ * way; a region left unbound — no compiler on the host, a failed
+ * compile, a missing symbol — simply interprets, so the fallback ladder
+ * (native -> fused) never changes observable behaviour, only speed.
  */
 #include "zcgen/cgen.h"
 
@@ -51,6 +51,12 @@ cbAction(void* host, int32_t idx)
     node(host).program().actions[idx](node(host).frame());
 }
 
+int
+cbSite(void* host, uint32_t pc)
+{
+    return static_cast<int>(node(host).site(node(host).frame(), pc));
+}
+
 } // namespace
 
 NodePtr
@@ -59,37 +65,31 @@ buildNodeNative(const CompPtr& c, ExprCompiler& ec,
                 FuseStats* fstats, CgenStats* cstats,
                 const std::string& cacheDir, const std::string& path)
 {
-    std::vector<FusedNode*> regions;
+    FusedNode* region = nullptr;
     NodePtr root =
-        buildNodeFused(c, ec, opt, stats, fstats, path, &regions, "cgen");
+        buildNodeFused(c, ec, opt, stats, fstats, path, &region, "cgen");
 
     CgenStats local;
     CgenStats* cs = cstats ? cstats : &local;
-    cs->regions += static_cast<int>(regions.size());
+    ++cs->regions;
     auto& reg = metrics::Registry::global();
-
-    if (regions.empty())
-        return root;
-
-    if (!zcgen::compilerAvailable()) {
+    auto fallBack = [&](const std::string& why) {
         std::fprintf(stderr,
-                     "ziria: cgen: no C++ compiler found; %zu region(s) "
-                     "fall back to the fused interpreter\n",
-                     regions.size());
-        cs->fallbacks += static_cast<int>(regions.size());
-        reg.counter("ziria.cgen.fallbacks").add(regions.size());
-        return root;
-    }
+                     "ziria: cgen: %s; the region falls back to the fused "
+                     "interpreter\n", why.c_str());
+        ++cs->fallbacks;
+        reg.counter("ziria.cgen.fallbacks").inc();
+        return std::move(root);
+    };
 
-    std::vector<const FuseProgram*> progs;
-    progs.reserve(regions.size());
-    for (FusedNode* n : regions)
-        progs.push_back(&n->program());
+    if (!zcgen::compilerAvailable())
+        return fallBack("no C++ compiler found");
+
     ec.layout().beginScratch();
-    zcgen::EmitUnit unit = zcgen::emitUnit(progs, ec);
-    cs->emitted += static_cast<int>(regions.size());
+    zcgen::EmitUnit unit = zcgen::emitUnit(region->program(), ec);
+    ++cs->emitted;
     cs->hostBridges += unit.hostBridges;
-    reg.counter("ziria.cgen.emitted").add(regions.size());
+    reg.counter("ziria.cgen.emitted").inc();
 
     zcgen::JitResult jr = zcgen::compileUnit(
         unit.source, zcgen::resolveCacheDir(cacheDir));
@@ -107,34 +107,19 @@ buildNodeNative(const CompPtr& c, ExprCompiler& ec,
             reg.counter("ziria.cgen.compiled").inc();
         }
     }
-    if (!jr.lib) {
-        std::fprintf(stderr,
-                     "ziria: cgen: native compilation failed; %zu "
-                     "region(s) fall back to the fused interpreter: %s\n",
-                     regions.size(), jr.error.c_str());
-        cs->fallbacks += static_cast<int>(regions.size());
-        reg.counter("ziria.cgen.fallbacks").add(regions.size());
-        return root;
-    }
+    if (!jr.lib)
+        return fallBack("native compilation failed: " + jr.error);
 
+    void* fp = jr.lib->sym("zr_region");
+    if (!fp)
+        return fallBack("symbol zr_region missing");
     zcgen::ZrCtx host{};
     host.hostInto = &cbInto;
     host.hostInt = &cbInt;
     host.hostAction = &cbAction;
-    for (size_t i = 0; i < regions.size(); ++i) {
-        std::string sym = "zr_region_" + std::to_string(i);
-        void* fp = jr.lib->sym(sym.c_str());
-        if (!fp) {
-            std::fprintf(stderr,
-                         "ziria: cgen: symbol %s missing; region falls "
-                         "back to the fused interpreter\n", sym.c_str());
-            ++cs->fallbacks;
-            reg.counter("ziria.cgen.fallbacks").inc();
-            continue;
-        }
-        regions[i]->bindNative(
-            jr.lib, reinterpret_cast<zcgen::ZrRegionFn>(fp), host);
-    }
+    host.hostSite = &cbSite;
+    region->bindNative(jr.lib, reinterpret_cast<zcgen::ZrRegionFn>(fp),
+                       host);
     return root;
 }
 

@@ -222,23 +222,9 @@ buildNode(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
       }
       case CompKind::Native: {
         const auto& n = static_cast<const NativeComp&>(*c);
-        auto spec = n.spec();
-        std::vector<std::pair<TypePtr, EvalInto>> argFns;
-        for (const auto& a : n.args())
-            argFns.emplace_back(a->type(), ec.compileInto(a));
-        NativeNode::Factory factory = [spec, argFns](Frame& f) {
-            std::vector<Value> vals;
-            vals.reserve(argFns.size());
-            for (const auto& [ty, fn] : argFns) {
-                Value v = Value::zeroOf(ty);
-                fn(f, v.data());
-                vals.push_back(std::move(v));
-            }
-            return spec->make(vals);
-        };
-        const CompType& ct = spec->ctype;
+        const CompType& ct = n.spec()->ctype;
         node = std::make_unique<NativeNode>(
-            std::move(factory), widthOf(ct.in), widthOf(ct.out),
+            nativeFactory(n, ec), widthOf(ct.in), widthOf(ct.out),
             widthOf(ct.ctrl), ct.isComputer);
         break;
       }
@@ -264,6 +250,25 @@ buildNode(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
                                             opt.sampleShift);
     }
     return node;
+}
+
+NativeNode::Factory
+nativeFactory(const NativeComp& n, ExprCompiler& ec)
+{
+    auto spec = n.spec();
+    std::vector<std::pair<TypePtr, EvalInto>> argFns;
+    for (const auto& a : n.args())
+        argFns.emplace_back(a->type(), ec.compileInto(a));
+    return [spec, argFns](Frame& f) {
+        std::vector<Value> vals;
+        vals.reserve(argFns.size());
+        for (const auto& [ty, fn] : argFns) {
+            Value v = Value::zeroOf(ty);
+            fn(f, v.data());
+            vals.push_back(std::move(v));
+        }
+        return spec->make(vals);
+    };
 }
 
 bool

@@ -222,6 +222,15 @@ NodePtr buildNode(const CompPtr& c, ExprCompiler& ec,
                   const BuildOptions& opt, BuildStats* stats,
                   const std::string& path = "root");
 
+/**
+ * The kernel factory of native block @p n: evaluates the block's
+ * arguments in the frame it is called with (a NativeNode's start(), a
+ * fused site's entry) and makes the kernel.  Shared by buildNode and
+ * the fused lowerer, so both backends run one definition.
+ */
+std::function<std::unique_ptr<NativeKernel>(Frame&)>
+nativeFactory(const NativeComp& n, ExprCompiler& ec);
+
 // ---------------------------------------------------------------------
 // Single-threaded driver
 // ---------------------------------------------------------------------

@@ -37,7 +37,7 @@
 namespace ziria {
 
 /** Bump when the container layout or any node's encoding changes. */
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
 
 /** 'ZCK1' — pipeline checkpoint magic. */
 constexpr uint32_t kSnapshotMagic = 0x314b435a;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <mutex>
 #include <sstream>
@@ -314,6 +315,10 @@ ThreadedPipeline::rearmStage(
         try {
             StateReader r(carry[failed].snap.data(),
                           carry[failed].snap.size());
+            std::vector<uint8_t> cells = r.blob();
+            if (!cells.empty())
+                std::memcpy(frame_.at(stageFrames_[failed].first),
+                            cells.data(), cells.size());
             stages_[failed]->restore(frame_, r);
             metrics::Registry::global()
                 .counter("restart.stage.restored")
@@ -344,6 +349,12 @@ ThreadedPipeline::rearmStage(
         if (carry[i].doneClean)
             continue;
         StateWriter w;
+        // The stage's frame cells first: restore() writes them back
+        // before the node, so native kernels see restored binders.
+        const auto [lo, hi] = i < stageFrames_.size()
+            ? stageFrames_[i]
+            : std::pair<size_t, size_t>{0, 0};
+        w.blob(frame_.at(lo), hi - lo);
         stages_[i]->snapshot(frame_, w);
         carry[i].snap = w.take();
     }

@@ -110,6 +110,18 @@ class ThreadedPipeline
     void setRestartPolicy(RestartPolicy p) { restart_ = p; }
     const RestartPolicy& restartPolicy() const { return restart_; }
 
+    /**
+     * The frame bytes [first, second) each stage's build allocated.  A
+     * stage-scoped restart snapshots and restores them with the stage's
+     * node, so a stage whose node keeps its variables in the frame (a
+     * fused or native region) rolls back as a VM node tree does.
+     */
+    void
+    setStageFrames(std::vector<std::pair<size_t, size_t>> ranges)
+    {
+        stageFrames_ = std::move(ranges);
+    }
+
     /** Attach the instrumentation sink; per-stage/queue telemetry is
      *  recorded into it on every run (replacing the previous run's). */
     void setMetrics(std::shared_ptr<PipelineMetrics> m)
@@ -146,8 +158,8 @@ class ThreadedPipeline
         uint64_t emitted = 0;
         std::vector<uint8_t> pendingOut;  ///< yielded element whose push
                                           ///< was torn down; re-pushed first
-        std::vector<uint8_t> snap;  ///< node-state snapshot at the last
-                                    ///< quiescent restart boundary
+        std::vector<uint8_t> snap;  ///< frame cells + node state at the
+                                    ///< last quiescent restart boundary
     };
 
     RunStats runAttempt(std::vector<std::unique_ptr<SpscQueue>>& queues,
@@ -160,6 +172,7 @@ class ThreadedPipeline
                     std::vector<StageCarry>& carry, size_t failed);
 
     std::vector<NodePtr> stages_;
+    std::vector<std::pair<size_t, size_t>> stageFrames_;
     Frame frame_;
     size_t inWidth_;
     size_t outWidth_;

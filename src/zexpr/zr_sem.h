@@ -46,14 +46,14 @@
 // -----------------------------------------------------------------------
 
 /** Bump on any change to ZrCtx; the loader checks each unit's zr_abi. */
-constexpr int kZrAbiVersion = 2;
+constexpr int kZrAbiVersion = 3;
 
 extern "C" {
 
 /**
  * A region's whole state plus the host callback table.  FusedNode keeps
  * its pc, spaces and out/ctrl pointers here; its bytecode interpreter
- * and the generated `zr_region_<i>` read and write the same fields.
+ * and the generated `zr_region` read and write the same fields.
  */
 struct ZrCtx
 {
@@ -74,6 +74,8 @@ struct ZrCtx
     void (*hostInto)(void* host, int32_t idx, uint8_t* dst);
     int64_t (*hostInt)(void* host, int32_t idx);
     void (*hostAction)(void* host, int32_t idx);
+    /// Runs the native-site instruction at pc; returns the Status.
+    int (*hostSite)(void* host, uint32_t pc);
     void (*trapMsg)(void* host, const char* msg);
     void (*trapIndex)(void* host, int64_t k, int64_t n);
     void (*trapSlice)(void* host, int64_t k, int64_t kEnd, int64_t n);

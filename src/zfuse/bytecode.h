@@ -2,7 +2,7 @@
  * @file
  * Linear bytecode for the fused execution backend.
  *
- * A fusible tick/proc subtree lowers to one flat instruction array
+ * A tick/proc computation lowers to one flat instruction array
  * executed by FusedNode with computed-goto dispatch (src/zfuse/
  * fused_node.cc).  The key idea — following "Stream Fusion, to
  * Completeness" — is that the VM's node-tree scheduling discipline
@@ -20,15 +20,23 @@
  * This reproduces the VM's consumer-first lazy-pull order exactly, so
  * outputs and frame side effects are bit-identical (proved by the
  * differential oracle, tests/test_fuse.cpp).
+ *
+ * A native block (FFT, Viterbi, ...) is a *site*: the region owns one
+ * NativeNode per site and drives it with the same three calls a VM
+ * pipe would — start at the site's entry, pull the next output, supply
+ * one input element — so the kernels run inside the region instead of
+ * cutting it.
  */
 #ifndef ZIRIA_ZFUSE_BYTECODE_H
 #define ZIRIA_ZFUSE_BYTECODE_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "zast/comp.h"
 #include "zexpr/compile_expr.h"
 #include "zexpr/lut.h"
 
@@ -64,6 +72,13 @@ enum class Op : uint8_t {
     Lut,          ///< fn=luts index, a=retDst; b=actions, c=intoFns
                   ///< index of the kernel the table replaces (or
                   ///< kNoTarget), which native code runs instead
+    // --- native sites -------------------------------------------------
+    SiteStart,    ///< fn=site: evaluate its arguments, make the kernel
+    SiteSupply,   ///< fn=site, a=src: feed one input element
+    SitePull,     ///< fn=site, a=outDst, b=ctrlDst|kNoTarget: next output
+                  ///< copied to a and fall through; NeedInput jumps to
+                  ///< c (the take), Done copies the control value to b
+                  ///< and jumps to d (the control tail)
     // --- data movement ------------------------------------------------
     Copy,         ///< a=dst, b=src, c=width
     Zero,         ///< a=dst, b=width
@@ -100,6 +115,17 @@ struct FuseChannel
     uint32_t width = 0;   ///< element byte width
 };
 
+/** Static description of one native block site. */
+struct FuseSite
+{
+    /// Evaluates the block's arguments in the frame and makes the kernel.
+    std::function<std::unique_ptr<NativeKernel>(Frame&)> make;
+    uint32_t inWidth = 0;
+    uint32_t outWidth = 0;
+    uint32_t ctrlWidth = 0;
+    bool isComputer = false;
+};
+
 /** A lowered program plus the closure tables it indexes into. */
 struct FuseProgram
 {
@@ -115,6 +141,7 @@ struct FuseProgram
     std::vector<EvalInt> intFns;
     std::vector<ziria::Action> actions;
     std::vector<std::shared_ptr<const CompiledLut>> luts;
+    std::vector<FuseSite> sites;
 
     /**
      * Source ASTs for the closure tables, index-parallel with

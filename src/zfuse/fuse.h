@@ -3,20 +3,19 @@
  * The fused execution backend: public entry points.
  *
  * `buildNodeFused` is the fused counterpart of `buildNode`
- * (zexec/pipeline.cc): it walks the optimized computation tree, lowers
- * every maximal *fusible* subtree into one FusedNode (a flat bytecode
- * program, zfuse/bytecode.h), and falls back to ordinary VM nodes for
- * the constructs it cannot fuse — native stream blocks and `|>>>|`
- * boundaries — joining fused regions with the usual combinator nodes.
- * The result sits behind the ExecNode interface, so tracing, frame
- * spans, fault injection, supervised restart and zserve sessions
- * compose unchanged, and `reset()` re-zeroes the fused state block
- * (the PR-4 re-arm contract holds by construction: start == reset ==
- * zero state + re-enter at the program entry).
+ * (zexec/pipeline.cc): it lowers the whole optimized computation into
+ * one FusedNode (a flat bytecode program, zfuse/bytecode.h).  Native
+ * stream blocks run inside the region as sites, and a `|>>>|` the
+ * threaded driver did not split lowers as a plain pipe, so a build is
+ * one region per pipeline (or per `|>>>|` partition of a threaded
+ * compile).  The result sits behind the ExecNode interface, so
+ * tracing, frame spans, fault injection, supervised and stage-scoped
+ * restart and zserve sessions compose unchanged, and `reset()`
+ * re-zeroes the fused state block (start == reset == zero state +
+ * re-enter at the program entry).
  *
  * Selected via `CompilerOptions::backend` / `zirrun --backend=fused`.
- * Fusibility rules, the bytecode format and fallback semantics are
- * documented in docs/FUSION.md.
+ * The bytecode format is documented in docs/FUSION.md.
  */
 #ifndef ZIRIA_ZFUSE_FUSE_H
 #define ZIRIA_ZFUSE_FUSE_H
@@ -36,53 +35,41 @@ namespace ziria {
 struct FuseStats
 {
     int nodesFused = 0;  ///< FusedNode instances created
-    int fallbacks = 0;   ///< VM nodes built because fusion was refused
+    /// Always 0: every computation lowers into its region.  Kept so
+    /// reports and benchmark readers that sum it stay valid.
+    int fallbacks = 0;
     int fusedOps = 0;    ///< total bytecode instructions emitted
     int channels = 0;    ///< internal `>>>` boundaries compiled away
 };
 
-/**
- * Can this whole subtree be lowered to fused bytecode?  False for
- * native blocks (opaque kernels drive their own emission) and for
- * `|>>>|`-marked pipes (a thread boundary must stay a real node so the
- * threaded driver can split it); recursively true otherwise.
- */
-bool fusibleComp(const CompPtr& c);
-
-/**
- * Lower one fusible subtree to bytecode.  @p c must be elaborated and
- * checked; kernels/LUTs are compiled against @p ec exactly as the VM
- * build would.  Exposed separately for tests and disassembly.
- */
-std::shared_ptr<const zfuse::FuseProgram>
-lowerFused(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
-           BuildStats* stats = nullptr, FuseStats* fstats = nullptr);
-
 class FusedNode;
 
 /**
- * Build the execution tree with the fused backend: maximal fusible
- * subtrees become FusedNodes, the rest VM nodes.  Drop-in replacement
- * for buildNode (same width normalization and instrumentation shims).
- * Each region node is appended to @p regions when non-null (the native
- * backend binds compiled code to them) and reported to tracing shims
- * as @p regionKind.
+ * Build the execution node with the fused backend: @p c (elaborated and
+ * checked) lowers into one FusedNode, its kernels and LUTs compiled
+ * against @p ec exactly as the VM build would.  Drop-in replacement for
+ * buildNode (same instrumentation shim).  The region is stored in @p region when non-null (the native
+ * backend binds compiled code to it) and reported to tracing shims as
+ * @p regionKind.
  */
 NodePtr buildNodeFused(const CompPtr& c, ExprCompiler& ec,
                        const BuildOptions& opt, BuildStats* stats,
                        FuseStats* fstats = nullptr,
                        const std::string& path = "root",
-                       std::vector<FusedNode*>* regions = nullptr,
+                       FusedNode** region = nullptr,
                        const char* regionKind = "fused");
 
 namespace zcgen {
 class Library;
 }
 
+class NativeNode;
+
 /**
  * One fused region (behind ExecNode).  The node owns the region's only
- * state — registers, state block, channel continuations and the parked
- * pc — laid out as the ZrCtx that compiled code reads (zcgen/abi.h).
+ * state — registers, state block, channel continuations, the parked
+ * pc and one NativeNode per native site — laid out as the ZrCtx that
+ * compiled code reads (zcgen/abi.h).
  * advance() runs the bound compiled entry point when there is one and
  * interprets the bytecode otherwise; both read and write the same
  * fields, so snapshots are portable between them.
@@ -91,6 +78,7 @@ class FusedNode : public ExecNode
 {
   public:
     explicit FusedNode(std::shared_ptr<const zfuse::FuseProgram> prog);
+    ~FusedNode() override;
     FusedNode(const FusedNode&) = delete;
     FusedNode& operator=(const FusedNode&) = delete;
 
@@ -109,8 +97,9 @@ class FusedNode : public ExecNode
      * cells written by compiled Action/EvalInto closures are NOT
      * enumerable from the instruction stream, so whole-frame coverage
      * comes from the PipelineSnapshot container, not from this node
-     * (docs/ROBUSTNESS.md, "Checkpointing & migration").  The stream
-     * is the same bound or not, so it restores across fused/native.
+     * (docs/ROBUSTNESS.md, "Checkpointing & migration").  Each native
+     * site's NativeNode image follows.  The stream is the same bound or
+     * not, so it restores across fused/native.
      */
     void snapshot(const Frame& f, StateWriter& w) const override;
     void restore(Frame& f, StateReader& r) override;
@@ -131,6 +120,14 @@ class FusedNode : public ExecNode
     /** The frame of the compiled advance() in flight (host callbacks). */
     Frame& frame() const { return *frame_; }
 
+    /**
+     * Execute the site instruction at @p pc (SiteStart, SiteSupply or
+     * SitePull) against its NativeNode; returns the pull's Status
+     * (Yield for start and supply).  The interpreter and compiled code
+     * (through ZrCtx::hostSite) share it.
+     */
+    Status site(Frame& f, uint32_t pc);
+
   private:
     Status interpret(Frame& f);
 
@@ -147,6 +144,7 @@ class FusedNode : public ExecNode
     std::vector<uint32_t> chProdPc_;
     std::vector<uint32_t> chConsPc_;
     std::vector<uint8_t> chFull_;
+    std::vector<std::unique_ptr<NativeNode>> sites_;
     /// Points at the spaces above; holds the parked pc, the repeat
     /// livelock guard, the out/ctrl pointers and the ctrl width.
     zcgen::ZrCtx ctx_{};

@@ -25,11 +25,28 @@
 #include <cstring>
 
 #include "support/panic.h"
+#include "zexec/nodes.h"
 #include "ztype/value.h"
 
 namespace ziria {
 
 using namespace zfuse;
+
+namespace {
+
+/** One unstarted NativeNode per native site of @p p. */
+std::vector<std::unique_ptr<NativeNode>>
+freshSites(const FuseProgram& p)
+{
+    std::vector<std::unique_ptr<NativeNode>> out;
+    out.reserve(p.sites.size());
+    for (const FuseSite& s : p.sites)
+        out.push_back(std::make_unique<NativeNode>(
+            s.make, s.inWidth, s.outWidth, s.ctrlWidth, s.isComputer));
+    return out;
+}
+
+} // namespace
 
 FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     : prog_(std::move(prog))
@@ -54,7 +71,10 @@ FusedNode::FusedNode(std::shared_ptr<const FuseProgram> prog)
     ctx_.trapMsg = hostTraps()->trapMsg;
     ctx_.trapIndex = hostTraps()->trapIndex;
     ctx_.trapSlice = hostTraps()->trapSlice;
+    sites_ = freshSites(*prog_);
 }
+
+FusedNode::~FusedNode() = default;
 
 void
 FusedNode::bindNative(std::shared_ptr<zcgen::Library> lib,
@@ -65,6 +85,7 @@ FusedNode::bindNative(std::shared_ptr<zcgen::Library> lib,
     ctx_.hostInto = hostTable.hostInto;
     ctx_.hostInt = hostTable.hostInt;
     ctx_.hostAction = hostTable.hostAction;
+    ctx_.hostSite = hostTable.hostSite;
 }
 
 void
@@ -79,6 +100,8 @@ FusedNode::start(Frame&)
     ctx_.spins = 0;
     ctx_.outPtr = nullptr;
     ctx_.ctrlPtr = nullptr;
+    // Each site is started when control reaches its SiteStart.
+    sites_ = freshSites(*prog_);
 }
 
 namespace {
@@ -148,6 +171,9 @@ FusedNode::snapshot(const Frame& f, StateWriter& w) const
     w.u64(ctrlWidth_);  // the Ctrl op mutates it at run time
     writePtrTag(w, ctx_.outPtr, f, state_);
     writePtrTag(w, ctx_.ctrlPtr, f, state_);
+    w.u64(sites_.size());
+    for (const auto& n : sites_)
+        n->snapshot(f, w);
 }
 
 void
@@ -184,6 +210,36 @@ FusedNode::restore(Frame& f, StateReader& r)
     setCtrlWidth(static_cast<size_t>(ctx_.ctrlWidth));
     ctx_.outPtr = readPtrTag(r, f, state_, outWidth());
     ctx_.ctrlPtr = readPtrTag(r, f, state_, ctrlWidth_);
+    if (r.u64() != sites_.size())
+        throw StateFormatError("fused native site count mismatch");
+    // NativeNode::restore bound-checks each site's ring.
+    for (auto& n : sites_)
+        n->restore(f, r);
+}
+
+Status
+FusedNode::site(Frame& f, uint32_t pc)
+{
+    const Instr& i = prog_->instrs[pc];
+    NativeNode& n = *sites_[i.fn];
+    switch (i.op) {
+      case Op::SiteStart:
+        n.start(f);
+        return Status::Yield;
+      case Op::SiteSupply:
+        n.supply(f, loc(f, i.a));
+        return Status::Yield;
+      case Op::SitePull: {
+        Status st = n.advance(f);
+        if (st == Status::Yield)
+            std::memcpy(loc(f, i.a), n.out(), n.outWidth());
+        else if (st == Status::Done && i.b != kNoTarget)
+            std::memcpy(loc(f, i.b), n.ctrl(), n.ctrlWidth());
+        return st;
+      }
+      default:
+        panic("FusedNode::site: not a site instruction");
+    }
 }
 
 void
@@ -232,10 +288,11 @@ FusedNode::interpret(Frame& f)
         &&op_TakeExt,   &&op_TakeManyExt, &&op_TakeCh,  &&op_TakeManyCh,
         &&op_EmitExt,   &&op_EmitChSig,   &&op_EmitCh,  &&op_EmitsExt,
         &&op_EmitsCh,   &&op_EvalInto,    &&op_EvalInt, &&op_Action,
-        &&op_Lut,       &&op_Copy,        &&op_Zero,    &&op_LoadByte,
-        &&op_SetReg,    &&op_IvWrite,     &&op_Jmp,     &&op_Jz,
-        &&op_JgeRR,     &&op_TimesStep,   &&op_PipeInit, &&op_Spin,
-        &&op_Ctrl,      &&op_Halt,
+        &&op_Lut,       &&op_SiteStart,   &&op_SiteSupply, &&op_SitePull,
+        &&op_Copy,      &&op_Zero,        &&op_LoadByte, &&op_SetReg,
+        &&op_IvWrite,   &&op_Jmp,         &&op_Jz,      &&op_JgeRR,
+        &&op_TimesStep, &&op_PipeInit,    &&op_Spin,    &&op_Ctrl,
+        &&op_Halt,
     };
 #define OP(name) op_##name:
 #define NEXT() goto* kJump[static_cast<size_t>(code[pc].op)]
@@ -386,6 +443,17 @@ FusedNode::interpret(Frame& f)
         const Instr& i = code[pc];
         prog_->luts[i.fn]->apply(f, loc(f, i.a));
         ++pc;
+        NEXT();
+    }
+    OP(SiteStart)
+    OP(SiteSupply)
+    OP(SitePull)
+    {
+        // Start and supply report Yield: fall through like a pull.
+        Status st = site(f, pc);
+        pc = st == Status::Yield       ? pc + 1
+             : st == Status::NeedInput ? code[pc].c
+                                       : code[pc].d;
         NEXT();
     }
     OP(Copy)

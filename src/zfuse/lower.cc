@@ -20,6 +20,9 @@
  *               entry (re-running the entry code *is* body->start()).
  *   if/times/while  guards and counters evaluated at exactly the VM's
  *               evaluation points (block entry / loop step).
+ *   native      SITE_START at the block's entry (its arguments are
+ *               evaluated there), then SITE_PULL: emit each output,
+ *               take + SITE_SUPPLY on NeedInput, control tail on Done.
  *
  * Expression evaluation reuses the closures the expression VM compiles
  * (zexpr/compile_expr.h) — fusion removes the *machinery* cost (virtual
@@ -32,54 +35,11 @@
 
 #include "support/metrics.h"
 #include "support/panic.h"
-#include "zexec/nodes.h"
 #include "zopt/autolut.h"
 
 namespace ziria {
 
 using namespace zfuse;
-
-// ---------------------------------------------------------------------
-// Fusibility
-// ---------------------------------------------------------------------
-
-bool
-fusibleComp(const CompPtr& c)
-{
-    switch (c->kind()) {
-      case CompKind::Native:
-      case CompKind::CallComp:
-        return false;
-      case CompKind::Pipe: {
-        const auto& p = static_cast<const PipeComp&>(*c);
-        if (p.threaded())
-            return false;
-        return fusibleComp(p.left()) && fusibleComp(p.right());
-      }
-      case CompKind::Seq: {
-        const auto& s = static_cast<const SeqComp&>(*c);
-        for (const auto& it : s.items())
-            if (!fusibleComp(it.comp))
-                return false;
-        return true;
-      }
-      case CompKind::If: {
-        const auto& i = static_cast<const IfComp&>(*c);
-        return fusibleComp(i.thenC()) &&
-               (!i.elseC() || fusibleComp(i.elseC()));
-      }
-      case CompKind::Repeat:
-        return fusibleComp(static_cast<const RepeatComp&>(*c).body());
-      case CompKind::Times:
-        return fusibleComp(static_cast<const TimesComp&>(*c).body());
-      case CompKind::While:
-        return fusibleComp(static_cast<const WhileComp&>(*c).body());
-      case CompKind::LetVar:
-        return fusibleComp(static_cast<const LetVarComp&>(*c).body());
-      default:
-        return true;  // take/takes/emit/emits/return/map/filter
-    }
-}
 
 // ---------------------------------------------------------------------
 // Lowerer
@@ -242,6 +202,13 @@ class Lowerer
     {
         prog_->luts.push_back(std::move(lut));
         return static_cast<int32_t>(prog_->luts.size() - 1);
+    }
+
+    int32_t
+    addSite(FuseSite site)
+    {
+        prog_->sites.push_back(std::move(site));
+        return static_cast<int32_t>(prog_->sites.size() - 1);
     }
 
     // ----- shared fragments -------------------------------------------
@@ -480,9 +447,9 @@ class Lowerer
             break;
           }
           case CompKind::Pipe: {
+            // A `|>>>|` the threaded driver did not split runs as a
+            // plain pipe, as in buildNode.
             const auto& p = static_cast<const PipeComp&>(*c);
-            ZIRIA_ASSERT(!p.threaded(),
-                         "threaded pipe reached the fused lowerer");
             int ch = newChannel(widthOf(p.left()->ctype().out));
             int leftEntry = newLabel();
             Instr pi{Op::PipeInit};
@@ -710,9 +677,46 @@ class Lowerer
             lower(l.body(), ctx);
             break;
           }
-          case CompKind::Native:
+          case CompKind::Native: {
+            // The VM's NativeNode, driven in place.  Its arguments are
+            // evaluated at the site's entry, as a `times` count is.
+            const CompType& ct = c->ctype();
+            const auto inW = static_cast<uint32_t>(widthOf(ct.in));
+            const auto cw = static_cast<uint32_t>(
+                ct.isComputer ? widthOf(ct.ctrl) : 0);
+            Instr st{Op::SiteStart};
+            st.fn = addSite({nativeFactory(static_cast<const NativeComp&>(*c),
+                                           ec_),
+                             inW, static_cast<uint32_t>(widthOf(ct.out)),
+                             cw, ct.isComputer});
+            emit(st);
+            // Ctrl must point into the state block or frame, so the
+            // kernel's control value is copied out of the NativeNode.
+            Instr pl{Op::SitePull};
+            pl.fn = st.fn;
+            pl.a = outDst(ctx, widthOf(ct.out));
+            pl.b = !cw ? kNoTarget
+                 : ctx.ctrlDst != kNoLoc ? ctx.ctrlDst : newStage(cw);
+            int pullL = newLabel(), takeL = newLabel(), doneL = newLabel();
+            bind(pullL);
+            uint32_t at = emit(pl);
+            fixups_.push_back({at, 2, takeL});
+            fixups_.push_back({at, 3, doneL});
+            sendOut(ctx, pl.a);
+            emitRef({Op::Jmp}, 0, pullL);
+            bind(takeL);
+            Instr sp{Op::SiteSupply};
+            sp.fn = st.fn;
+            sp.a = newStage(inW);
+            takeInto(ctx, sp.a, inW);
+            emit(sp);
+            emitRef({Op::Jmp}, 0, pullL);
+            bind(doneL);
+            tail(ctx, cw ? pl.b : kNoLoc, cw);
+            break;
+          }
           case CompKind::CallComp:
-            panic("non-fusible computation reached the fused lowerer");
+            panic("fused lowerer: unelaborated computation call");
         }
     }
 
@@ -736,173 +740,32 @@ class Lowerer
 
 } // namespace
 
-std::shared_ptr<const FuseProgram>
-lowerFused(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
-           BuildStats* stats, FuseStats* fstats)
-{
-    ZIRIA_ASSERT(fusibleComp(c), "lowerFused: subtree is not fusible");
-    Lowerer lw(ec, opt, stats, fstats);
-    return lw.run(c);
-}
-
 // ---------------------------------------------------------------------
-// Fused tree construction (the buildNode counterpart)
+// Region construction (the buildNode counterpart)
 // ---------------------------------------------------------------------
-
-namespace {
-
-/** Width normalization + tracing shim, identical to buildNode's tail. */
-NodePtr
-finishNode(NodePtr node, const CompPtr& c, const BuildOptions& opt,
-           const std::string& path, const char* kindName)
-{
-    const CompType& ct = c->ctype();
-    node->setInWidth(widthOf(ct.in));
-    node->setOutWidth(widthOf(ct.out));
-    if (ct.isComputer)
-        node->setCtrlWidth(widthOf(ct.ctrl));
-    if (opt.instrument && opt.metrics) {
-        NodeMetrics& nm = opt.metrics->addNode(path, kindName);
-        nm.inWidth = node->inWidth();
-        nm.outWidth = node->outWidth();
-        node = std::make_unique<TracedNode>(std::move(node), &nm,
-                                            opt.sampleShift);
-    }
-    return node;
-}
-
-void
-countFallback(FuseStats* fstats)
-{
-    if (fstats)
-        ++fstats->fallbacks;
-    metrics::Registry::global().counter("ziria.fuse.fallbacks").inc();
-}
-
-/** The fixed context of one fused build's recursive walk. */
-struct FusedBuild
-{
-    ExprCompiler& ec;
-    const BuildOptions& opt;
-    BuildStats* stats;
-    FuseStats* fstats;
-    std::vector<FusedNode*>* regions;
-    const char* regionKind;
-
-    NodePtr build(const CompPtr& c, const std::string& path);
-};
-
-NodePtr
-FusedBuild::build(const CompPtr& c, const std::string& path)
-{
-    if (fusibleComp(c)) {
-        if (stats)
-            ++stats->nodes;
-        auto prog = lowerFused(c, ec, opt, stats, fstats);
-        if (fstats)
-            ++fstats->nodesFused;
-        metrics::Registry::global()
-            .counter("ziria.fuse.nodes_fused")
-            .inc();
-        auto node = std::make_unique<FusedNode>(std::move(prog));
-        if (regions)
-            regions->push_back(node.get());
-        return finishNode(std::move(node), c, opt, path, regionKind);
-    }
-
-    // Not fusible at this level: build the VM combinator here and fuse
-    // maximal subtrees underneath it.
-    countFallback(fstats);
-    if (c->kind() == CompKind::Native)
-        return buildNode(c, ec, opt, stats, path);
-    if (stats)
-        ++stats->nodes;
-    switch (c->kind()) {
-      case CompKind::Pipe: {
-        const auto& p = static_cast<const PipeComp&>(*c);
-        NodePtr l = build(p.left(), path + "/l");
-        NodePtr r = build(p.right(), path + "/r");
-        NodePtr node =
-            std::make_unique<PipeNode>(std::move(l), std::move(r));
-        return finishNode(std::move(node), c, opt, path, "pipe");
-      }
-      case CompKind::Seq: {
-        const auto& s = static_cast<const SeqComp&>(*c);
-        std::vector<SeqNode::Item> items;
-        items.reserve(s.items().size());
-        size_t i = 0;
-        for (const auto& it : s.items()) {
-            SeqNode::Item item;
-            item.node = build(it.comp, path + "/s" + std::to_string(i++));
-            if (it.bind) {
-                item.bindOff =
-                    static_cast<long>(ec.layout().add(it.bind));
-                item.bindWidth = it.bind->type->byteWidth();
-            }
-            items.push_back(std::move(item));
-        }
-        NodePtr node = std::make_unique<SeqNode>(std::move(items));
-        return finishNode(std::move(node), c, opt, path, "seq");
-      }
-      case CompKind::If: {
-        const auto& i = static_cast<const IfComp&>(*c);
-        NodePtr t = build(i.thenC(), path + "/t");
-        NodePtr e = i.elseC() ? build(i.elseC(), path + "/e") : nullptr;
-        NodePtr node = std::make_unique<IfNode>(
-            ec.compileInt(i.cond()), std::move(t), std::move(e));
-        return finishNode(std::move(node), c, opt, path, "if");
-      }
-      case CompKind::Repeat: {
-        const auto& r = static_cast<const RepeatComp&>(*c);
-        NodePtr node =
-            std::make_unique<RepeatNode>(build(r.body(), path + "/rep"));
-        return finishNode(std::move(node), c, opt, path, "repeat");
-      }
-      case CompKind::Times: {
-        const auto& t = static_cast<const TimesComp&>(*c);
-        long ivOff = -1;
-        TypeKind ivKind = TypeKind::Int32;
-        if (t.inductionVar()) {
-            ivOff = static_cast<long>(ec.layout().add(t.inductionVar()));
-            ivKind = t.inductionVar()->type->kind();
-        }
-        NodePtr node = std::make_unique<TimesNode>(
-            ec.compileInt(t.count()), ivOff, ivKind,
-            build(t.body(), path + "/times"));
-        return finishNode(std::move(node), c, opt, path, "times");
-      }
-      case CompKind::While: {
-        const auto& w = static_cast<const WhileComp&>(*c);
-        NodePtr node = std::make_unique<WhileNode>(
-            ec.compileInt(w.cond()), build(w.body(), path + "/while"));
-        return finishNode(std::move(node), c, opt, path, "while");
-      }
-      case CompKind::LetVar: {
-        const auto& l = static_cast<const LetVarComp&>(*c);
-        size_t off = ec.layout().add(l.var());
-        EvalInto init;
-        if (l.init())
-            init = ec.compileInto(l.init());
-        NodePtr node = std::make_unique<LetVarNode>(
-            off, l.var()->type->byteWidth(), std::move(init),
-            build(l.body(), path + "/let"));
-        return finishNode(std::move(node), c, opt, path, "letvar");
-      }
-      default:
-        panic("buildNodeFused: unexpected non-fusible leaf");
-    }
-}
-
-} // namespace
 
 NodePtr
 buildNodeFused(const CompPtr& c, ExprCompiler& ec, const BuildOptions& opt,
                BuildStats* stats, FuseStats* fstats,
-               const std::string& path, std::vector<FusedNode*>* regions,
+               const std::string& path, FusedNode** region,
                const char* regionKind)
 {
-    return FusedBuild{ec, opt, stats, fstats, regions, regionKind}.build(
-        c, path);
+    if (stats)
+        ++stats->nodes;
+    auto node = std::make_unique<FusedNode>(
+        Lowerer(ec, opt, stats, fstats).run(c));
+    if (fstats)
+        ++fstats->nodesFused;
+    metrics::Registry::global().counter("ziria.fuse.nodes_fused").inc();
+    if (region)
+        *region = node.get();
+    if (!(opt.instrument && opt.metrics))
+        return node;
+    NodeMetrics& nm = opt.metrics->addNode(path, regionKind);
+    nm.inWidth = node->inWidth();
+    nm.outWidth = node->outWidth();
+    return std::make_unique<TracedNode>(std::move(node), &nm,
+                                        opt.sampleShift);
 }
 
 // ---------------------------------------------------------------------
@@ -928,6 +791,9 @@ opName(Op op)
       case Op::EvalInt: return "eval.int";
       case Op::Action: return "action";
       case Op::Lut: return "lut";
+      case Op::SiteStart: return "site.start";
+      case Op::SiteSupply: return "site.supply";
+      case Op::SitePull: return "site.pull";
       case Op::Copy: return "copy";
       case Op::Zero: return "zero";
       case Op::LoadByte: return "loadb";
@@ -1016,6 +882,18 @@ FuseProgram::disassemble() const
                 os << " body fn" << in.b;
             if (in.c != kNoTarget)
                 os << " ret fn" << in.c;
+            break;
+          case Op::SiteStart:
+            os << " site" << in.fn;
+            break;
+          case Op::SiteSupply:
+            os << " site" << in.fn << " <- " << locStr(in.a);
+            break;
+          case Op::SitePull:
+            os << " site" << in.fn << " -> " << locStr(in.a);
+            if (in.b != kNoTarget)
+                os << " ctrl " << locStr(in.b);
+            os << " take@" << in.c << " done@" << in.d;
             break;
           case Op::Copy:
             os << " " << locStr(in.a) << " <- " << locStr(in.b) << " w"

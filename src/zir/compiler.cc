@@ -176,38 +176,10 @@ splitStages(const CompPtr& c, std::vector<CompPtr>& out)
 
 } // namespace
 
-namespace {
-
-/**
- * Stage-scoped restart re-arms one failed stage while its neighbors
- * keep their state, which requires the per-stage node boundaries the
- * closure-tree VM backend preserves.  The fused and native backends
- * collapse runs of operators into single region nodes whose merged
- * state image cannot be re-armed per original stage, so the
- * combination is refused up front with a clear diagnostic instead of
- * degrading silently (docs/ROBUSTNESS.md, "Restart scope support
- * matrix").
- */
-void
-checkRestartScope(const CompilerOptions& opt)
-{
-    if (opt.backend != Backend::Vm && opt.restart.enabled() &&
-        opt.restart.scope == RestartScope::Stage)
-        fatalf("--restart-scope stage is not supported with --backend=",
-               opt.backend == Backend::Fused ? "fused" : "native",
-               ": this backend merges stages into single region nodes, "
-               "so a single stage cannot be re-armed in isolation; use "
-               "--restart-scope pipeline or --backend=vm "
-               "(docs/ROBUSTNESS.md, \"Restart scope support matrix\")");
-}
-
-} // namespace
-
 std::unique_ptr<Pipeline>
 compilePipeline(const CompPtr& program, const CompilerOptions& opt,
                 CompileReport* report)
 {
-    checkRestartScope(opt);
     auto prog = compileProgram(program, opt, report);
     const CompPtr& c = prog->ast;
 
@@ -262,7 +234,6 @@ std::unique_ptr<ThreadedPipeline>
 compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
                         CompileReport* report)
 {
-    checkRestartScope(opt);
     auto prog = compileProgram(program, opt, report);
 
     Stopwatch sw;
@@ -284,9 +255,11 @@ compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
     }
     BuildStats bs;
     std::vector<NodePtr> stages;
+    std::vector<std::pair<size_t, size_t>> stageFrames;
     stages.reserve(parts.size());
     for (size_t i = 0; i < parts.size(); ++i) {
         std::string stagePath = "stage" + std::to_string(i);
+        size_t frameLo = layout.frameSize();
         switch (opt.backend) {
           case Backend::Fused:
             stages.push_back(buildNodeFused(
@@ -304,6 +277,7 @@ compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
             stages.push_back(buildNode(parts[i], ec, bo, &bs, stagePath));
             break;
         }
+        stageFrames.emplace_back(frameLo, layout.frameSize());
     }
 
     size_t inW = stages.front()->inWidth();
@@ -315,6 +289,7 @@ compileThreadedPipeline(const CompPtr& program, const CompilerOptions& opt,
                                                 outW, opt.queueCapacity);
     p->setStallDeadline(opt.stallDeadlineMs);
     p->setRestartPolicy(opt.restart);
+    p->setStageFrames(std::move(stageFrames));
     // Stage/queue telemetry is recorded on every run once a metrics
     // object is attached; node-level counters ride the same object.
     if (!pm)

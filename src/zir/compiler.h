@@ -38,9 +38,9 @@ enum class OptLevel { None, Vectorize, All };
 
 /**
  * Execution backend: the closure-tree VM (one ExecNode per computation
- * form), the fused bytecode interpreter (maximal fusible subtrees
- * flattened into linear programs, docs/FUSION.md), or native code
- * generation (fused regions emitted as C++, compiled and dlopen'd with
+ * form), the fused bytecode interpreter (the whole pipeline flattened
+ * into one linear program, docs/FUSION.md), or native code
+ * generation (the fused region emitted as C++, compiled and dlopen'd with
  * an on-disk shared-object cache, docs/CODEGEN.md).  All sit behind
  * ExecNode, so every driver and decorator composes with any of them.
  */

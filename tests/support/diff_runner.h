@@ -52,8 +52,8 @@ std::vector<DiffConfig> fullMatrix();
 /**
  * The fused-backend matrix: the cross product {O0..O3} x {vec} x
  * {vm,fused} (16 configs, config 0 = unoptimized VM baseline), plus two
- * threaded fused cells (O0 and O3+vec) that exercise the `|>>>|`
- * fallback path where fused regions hang below VM combinators.
+ * threaded fused cells (O0 and O3+vec) that run one fused region per
+ * `|>>>|` partition.
  */
 std::vector<DiffConfig> fusedMatrix();
 

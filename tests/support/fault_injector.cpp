@@ -115,5 +115,23 @@ bytesToInts(const std::vector<uint8_t>& bytes)
     return out;
 }
 
+ThrownRun
+runUntilThrow(const CompPtr& c, const CompilerOptions& opt,
+              const std::vector<int32_t>& in)
+{
+    auto p = compilePipeline(c, opt);
+    auto bytes = intBytes(in);
+    MemSource src(bytes, 4);
+    VecSink sink(4);
+    ThrownRun r;
+    try {
+        p->run(src, sink);
+    } catch (const FatalError& e) {
+        r.what = e.what();
+    }
+    r.out = sink.data();
+    return r;
+}
+
 } // namespace testsupport
 } // namespace ziria

@@ -6,15 +6,18 @@
  *
  * The blocks let a test place a deterministic fault *inside* a
  * pipeline stage — complementing FaultySource/FaultySink from
- * zexec/faultpoint.h, which fault the endpoints.
+ * zexec/faultpoint.h, which fault the endpoints.  runUntilThrow drives
+ * a pipeline into such a fault so tests can compare how backends fail.
  */
 #ifndef ZIRIA_TESTS_SUPPORT_FAULT_INJECTOR_H
 #define ZIRIA_TESTS_SUPPORT_FAULT_INJECTOR_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "zast/builder.h"
+#include "zir/compiler.h"
 
 namespace ziria {
 namespace testsupport {
@@ -34,6 +37,17 @@ std::vector<uint8_t> intBytes(const std::vector<int32_t>& xs);
 
 /** Inverse of intBytes (trailing partial element ignored). */
 std::vector<int32_t> bytesToInts(const std::vector<uint8_t>& bytes);
+
+/** What a run delivered before a stage threw, and the error message. */
+struct ThrownRun
+{
+    std::vector<uint8_t> out;
+    std::string what;  ///< empty when the run finished
+};
+
+/** Compile @p c with @p opt and run it over int32 @p in until it throws. */
+ThrownRun runUntilThrow(const CompPtr& c, const CompilerOptions& opt,
+                        const std::vector<int32_t>& in);
 
 } // namespace testsupport
 } // namespace ziria

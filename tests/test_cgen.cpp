@@ -3,9 +3,10 @@
  * Native code-generation backend tests (ctest labels
  * `tier1;cgen;diff;sanitizer`):
  *
- *  - region finding and fallback ladder: whole fusible programs become
- *    one dlopen'd region, native blocks and threaded `|>>>|` keep the
- *    VM spine, and everything stays bit-identical to the VM;
+ *  - one dlopen'd region per build: native blocks run as sites inside
+ *    it (and throw through generated code as on the VM), the WiFi TX
+ *    and RX chains are one region each, threaded `|>>>|` partitions one
+ *    region apiece, and everything stays bit-identical to the VM;
  *  - the three-backend differential oracle {O0..O3} x {vec} x
  *    {vm,fused,native} on generated programs — the VM is the
  *    semantics, the machine code must match bit-exactly;
@@ -14,10 +15,8 @@
  *    round trips;
  *  - the on-disk shared-object cache: miss-then-hit, corrupt
  *    .so/manifest quarantine + recompile, stale-key misses, cache-key
- *    determinism, and the ziria.cgen.* counters;
- *  - the loud compile-time refusal of --backend=native with
- *    stage-scoped restart (checkpoint/restore of native regions lives
- *    in test_checkpoint.cpp).
+ *    determinism, and the ziria.cgen.* counters (checkpoint/restore of
+ *    native regions lives in test_checkpoint.cpp).
  *
  * Tests that require real machine code gate on
  * zcgen::compilerAvailable(); without a compiler the backend degrades
@@ -68,6 +67,7 @@ using namespace wifi;
 using difftest::DiffConfig;
 using difftest::runDifferential;
 using testsupport::intBytes;
+using testsupport::runUntilThrow;
 using testsupport::throwAtBlock;
 using zgen::GenConfig;
 using zgen::GenDomain;
@@ -83,27 +83,6 @@ makeTempDir()
     EXPECT_NE(dir, nullptr) << "mkdtemp failed";
     return dir ? std::string(dir) : std::string();
 }
-
-/**
- * Every test in this binary compiles into one private cache directory
- * (via $ZIRIA_CGEN_CACHE) so runs neither pollute nor depend on the
- * user's ~/.cache/ziria/zcgen.  Cache-behavior tests that need a cold
- * cache make their own directory and pass it explicitly.
- */
-class CgenCacheEnv : public ::testing::Environment
-{
-  public:
-    void
-    SetUp() override
-    {
-        std::string dir = makeTempDir();
-        ASSERT_FALSE(dir.empty());
-        setenv("ZIRIA_CGEN_CACHE", dir.c_str(), 1);
-    }
-};
-
-[[maybe_unused]] const ::testing::Environment* const kCacheEnv =
-    ::testing::AddGlobalTestEnvironment(new CgenCacheEnv);
 
 bool
 fileExists(const std::string& path)
@@ -230,17 +209,18 @@ TEST(NativeLowering, WholeProgramBecomesOneNativeRegion)
     EXPECT_EQ(p->runBytes(bytes), vm->runBytes(bytes));
 }
 
-TEST(NativeLowering, NativeBlockFallsBackInsideNativeTree)
+TEST(NativeLowering, NativeBlockRunsInsideTheRegion)
 {
-    // cgen >>> native block: the pipe spine stays on the VM, the left
-    // child becomes a compiled region, the native leaf runs as-is.
+    // cgen >>> native block: one compiled region; the native block is a
+    // site the generated code calls through ZrCtx::hostSite.
     CompileReport rep;
     auto p = compilePipeline(
         pipe(incBlock(1), throwAtBlock(uint64_t(1) << 62)),
         nativeConf(), &rep);
     EXPECT_EQ(rep.fuse.nodesFused, 1);
-    EXPECT_GE(rep.fuse.fallbacks, 2);  // pipe spine + native leaf
+    EXPECT_EQ(rep.fuse.fallbacks, 0);
     EXPECT_EQ(rep.cgen.regions, 1);
+    EXPECT_EQ(rep.cgen.hostBridges, 0);  // site calls are not bridges
 
     std::vector<int32_t> in(64);
     for (size_t i = 0; i < in.size(); ++i)
@@ -250,6 +230,40 @@ TEST(NativeLowering, NativeBlockFallsBackInsideNativeTree)
         pipe(incBlock(1), throwAtBlock(uint64_t(1) << 62)),
         CompilerOptions::forLevel(OptLevel::None));
     EXPECT_EQ(p->runBytes(bytes), vm->runBytes(bytes));
+}
+
+TEST(NativeLowering, NativeKernelThrowsThroughGeneratedCodeAsOnTheVm)
+{
+    auto make = [] {
+        return pipe(incBlock(1), pipe(throwAtBlock(40), incBlock(100)));
+    };
+    std::vector<int32_t> in(64, 3);
+    auto vm = runUntilThrow(make(), CompilerOptions::forLevel(OptLevel::None),
+                            in);
+    auto ng = runUntilThrow(make(), nativeConf(), in);
+    ASSERT_NE(vm.what.find("induced stage exception"), std::string::npos)
+        << vm.what;
+    EXPECT_EQ(ng.what, vm.what);
+    EXPECT_EQ(ng.out, vm.out);
+    EXPECT_FALSE(vm.out.empty());
+}
+
+TEST(NativeLowering, WifiChainsAreOneRegionEach)
+{
+    // The receiver (FFT, Viterbi, CCA, ... are native sites) and every
+    // TX rate (native IFFT) build to one region with no VM fallback.
+    auto check = [](const CompPtr& c, const std::string& what) {
+        CompileReport rep;
+        compilePipeline(c, nativeConf(OptLevel::All), &rep);
+        EXPECT_EQ(rep.cgen.regions, 1) << what;
+        EXPECT_EQ(rep.fuse.nodesFused, 1) << what;
+        EXPECT_EQ(rep.fuse.fallbacks, 0) << what;
+    };
+    check(wifiReceiverLoopComp(), "wifiReceiverLoopComp");
+    for (Rate r : allRates())
+        check(wifiTxDataComp(r),
+              "wifiTxDataComp " + std::to_string(rateInfo(r).mbps) +
+                  " Mbps");
 }
 
 TEST(NativeLowering, ThreadedPartitionsBecomeSeparateRegions)
@@ -529,8 +543,8 @@ class NativeRoundTrip : public ::testing::TestWithParam<Rate>
 TEST_P(NativeRoundTrip, NativeTxToNativeRxDecodes)
 {
     // Native TX -> channel -> native RX.  The receiver leans on native
-    // blocks (FFT, CCA), so this also proves compiled regions compose
-    // with the VM-fallback spine inside one real pipeline.
+    // blocks (FFT, CCA), so this also proves generated code drives
+    // native sites inside one real pipeline.
     Rate rate = GetParam();
     Rng rng(600 + static_cast<uint64_t>(rate));
     std::vector<uint8_t> payload(72);
@@ -1192,27 +1206,6 @@ TEST(EdgeValues, VmFoldFusedAndNativeAgreeOnEveryOperator)
     }
     EXPECT_GT(cases, 3000u);
     EXPECT_GT(traps, 40u);
-}
-
-// ------------------------------------------------------ loud refusal
-
-TEST(NativeRefusals, StageScopedRestartIsRefusedAtCompileTime)
-{
-    CompilerOptions opt = nativeConf();
-    opt.restart.mode = RestartMode::OnFailure;
-    opt.restart.maxRestarts = 2;
-    opt.restart.scope = RestartScope::Stage;
-    try {
-        compilePipeline(incBlock(1), opt);
-        FAIL() << "native + stage-scoped restart must be refused";
-    } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find("--backend=native"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find("docs/ROBUSTNESS.md"),
-                  std::string::npos)
-            << e.what();
-    }
 }
 
 } // namespace

@@ -319,6 +319,73 @@ TEST(HostileCheckpoint, FusedPcAndPointerOutOfRange)
     }
 }
 
+TEST(HostileCheckpoint, FusedNativeSiteRingMisaligned)
+{
+    // A region's image embeds each native site's NativeNode image; its
+    // ring must be bound-checked there too.  Replace the one site's
+    // image with rings that are not whole elements.
+    for (Backend be : regionBackends()) {
+        SCOPED_TRACE(backendName(be));
+        CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+        opt.backend = be;
+        auto p = compilePipeline(
+            zb::pipe(testsupport::throwAtBlock(uint64_t(1) << 62),
+                     testsupport::throwAtBlock(uint64_t(1) << 62)),
+            opt);
+        auto* fn = dynamic_cast<FusedNode*>(&p->root());
+        ASSERT_NE(fn, nullptr);
+        ASSERT_EQ(fn->program().sites.size(), 2u);
+        std::vector<int32_t> in(8, 3);
+        auto head = driveUpTo(*p, intBytes(in), 0, 8, true);
+        ASSERT_EQ(head.out.size(), 8u * 4);
+        auto snap = takeSnapshot(p->root(), p->frame(), 8, 8);
+        EXPECT_NO_THROW(restoreSnapshot(p->root(), p->frame(), snap));
+
+        // Walk to the site table: header, frame image, register space,
+        // state block, channel table, pc, spins, ctrl width, out/ctrl
+        // pointer tags.
+        auto rdU64 = [&](size_t o) {
+            uint64_t v = 0;
+            for (int i = 0; i < 8; ++i)
+                v |= static_cast<uint64_t>(snap[o + i]) << (8 * i);
+            return v;
+        };
+        size_t off = 24;
+        off += 8 + rdU64(off);
+        off += 8 + rdU64(off);
+        off += 8 + rdU64(off);
+        off += 8 + rdU64(off) * 9;
+        off += 4 + 8 + 8 + 9 + 9;
+        ASSERT_EQ(rdU64(off), 2u);
+        off += 8;
+
+        const uint8_t ring[8] = {0};
+        auto withSite = [&](uint64_t head, size_t ringBytes) {
+            std::vector<uint8_t> bad(snap.begin(),
+                                     snap.begin() + static_cast<long>(off));
+            StateWriter w;
+            w.u8(0);  // not finished
+            w.u64(head);
+            w.blob(ring, ringBytes);
+            const uint8_t outBuf[4] = {0};
+            w.bytes(outBuf, sizeof outBuf);
+            w.u8(0);  // no kernel yet
+            std::vector<uint8_t> site = w.take();
+            bad.insert(bad.end(), site.begin(), site.end());
+            bad.insert(bad.end(), site.begin(), site.end());
+            return bad;
+        };
+        EXPECT_NO_THROW(
+            restoreSnapshot(p->root(), p->frame(), withSite(4, 8)));
+        EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), withSite(0, 6)),
+                     StateFormatError);  // ring not whole elements
+        EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), withSite(2, 8)),
+                     StateFormatError);  // cursor mid-element
+        EXPECT_THROW(restoreSnapshot(p->root(), p->frame(), withSite(12, 8)),
+                     StateFormatError);  // cursor past the ring
+    }
+}
+
 // ------------------------------------------- round-trip totality
 
 TEST(SnapshotRoundTrip, AllShapesAcrossBackendsAndOptLevels)
@@ -446,6 +513,54 @@ checkPortable(const std::function<CompPtr()>& make, OptLevel lvl,
     }
 }
 
+std::vector<uint8_t>
+randomBytes(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> out(n);
+    for (auto& b : out)
+        b = static_cast<uint8_t>(rng.next());
+    return out;
+}
+
+bool
+containsBytes(const std::vector<uint8_t>& hay,
+              const std::vector<uint8_t>& needle)
+{
+    return std::search(hay.begin(), hay.end(), needle.begin(),
+                       needle.end()) != hay.end();
+}
+
+/**
+ * Two R12 packets (300 idle samples, packet 1, 3000 idle, packet 2, 300
+ * idle) through a 35 dB channel, as the receiver's Complex16 byte
+ * stream.  Packet 1's DATA field starts 400 samples after its first
+ * sample (preamble 320 + SIGNAL 80).
+ */
+std::vector<uint8_t>
+rxTwoPackets(const std::vector<uint8_t>& payload1,
+             const std::vector<uint8_t>& payload2)
+{
+    using namespace wifi;
+    auto tx1 = sora::txFrame(payload1, Rate::R12);
+    auto tx2 = sora::txFrame(payload2, Rate::R12);
+
+    std::vector<Complex16> stream;
+    stream.insert(stream.end(), 300, Complex16{0, 0});
+    stream.insert(stream.end(), tx1.begin(), tx1.end());
+    stream.insert(stream.end(), 3000, Complex16{0, 0});
+    stream.insert(stream.end(), tx2.begin(), tx2.end());
+    stream.insert(stream.end(), 300, Complex16{0, 0});
+
+    channel::ChannelConfig cfg;
+    cfg.snrDb = 35.0;
+    cfg.seed = 93;
+    auto rxSamples = channel::applyChannel(stream, cfg);
+    std::vector<uint8_t> sampBytes(rxSamples.size() * 4);
+    std::memcpy(sampBytes.data(), rxSamples.data(), sampBytes.size());
+    return sampBytes;
+}
+
 TEST(SnapshotRoundTrip, PortableAcrossFusedAndNative)
 {
     // One region state, one snapshot format: a checkpoint taken while
@@ -503,6 +618,15 @@ TEST(SnapshotRoundTrip, PortableAcrossFusedAndNative)
         // Mid-packet: several kernel applications in, off a group edge.
         checkPortable(sh.make, OptLevel::All, bits, 101, sh.name);
     }
+
+    // The receiver, whose FFT, Viterbi and friends are native sites of
+    // its one region: checkpointed inside packet 1's DATA field, with
+    // the Viterbi mid-trellis, it resumes on the other backend and
+    // decodes both packets to the VM's bytes.
+    auto rx = rxTwoPackets(randomBytes(40, 91), randomBytes(40, 92));
+    for (OptLevel lvl : {OptLevel::None, OptLevel::All})
+        checkPortable([] { return wifiReceiverLoopComp(); }, lvl, rx,
+                      300 + 400 + 160, "wifi rx");
 }
 
 TEST(SnapshotRoundTrip, RestoreIsRepeatable)
@@ -528,26 +652,6 @@ TEST(SnapshotRoundTrip, RestoreIsRepeatable)
     }
 }
 
-// --------------------------------------------- WiFi RX mid-packet
-
-std::vector<uint8_t>
-randomBytes(size_t n, uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<uint8_t> out(n);
-    for (auto& b : out)
-        b = static_cast<uint8_t>(rng.next());
-    return out;
-}
-
-bool
-containsBytes(const std::vector<uint8_t>& hay,
-              const std::vector<uint8_t>& needle)
-{
-    return std::search(hay.begin(), hay.end(), needle.begin(),
-                       needle.end()) != hay.end();
-}
-
 TEST(SnapshotRoundTrip, WifiRxMidPacketCheckpointDecodesThePacket)
 {
     // Checkpoint the full receiver ~140 samples INTO packet 1 — with
@@ -558,22 +662,7 @@ TEST(SnapshotRoundTrip, WifiRxMidPacketCheckpointDecodesThePacket)
     using namespace wifi;
     auto payload1 = randomBytes(40, 91);
     auto payload2 = randomBytes(40, 92);
-    auto tx1 = sora::txFrame(payload1, Rate::R12);
-    auto tx2 = sora::txFrame(payload2, Rate::R12);
-
-    std::vector<Complex16> stream;
-    stream.insert(stream.end(), 300, Complex16{0, 0});
-    stream.insert(stream.end(), tx1.begin(), tx1.end());
-    stream.insert(stream.end(), 3000, Complex16{0, 0});
-    stream.insert(stream.end(), tx2.begin(), tx2.end());
-    stream.insert(stream.end(), 300, Complex16{0, 0});
-
-    channel::ChannelConfig cfg;
-    cfg.snrDb = 35.0;
-    cfg.seed = 93;
-    auto rxSamples = channel::applyChannel(stream, cfg);
-    std::vector<uint8_t> sampBytes(rxSamples.size() * 4);
-    std::memcpy(sampBytes.data(), rxSamples.data(), sampBytes.size());
+    std::vector<uint8_t> sampBytes = rxTwoPackets(payload1, payload2);
 
     auto rx = compilePipeline(wifiReceiverLoopComp(),
                               CompilerOptions::forLevel(OptLevel::None));

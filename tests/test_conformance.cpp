@@ -515,7 +515,7 @@ TEST_P(FusedTxChainGolden, MatchesGoldenAndVmAtEveryRate)
     // Unoptimized fused: exact golden match, full length.
     CompileReport rep;
     auto f0 = compilePipeline(chain(), fusedConf(OptLevel::None), &rep);
-    EXPECT_EQ(rep.fuse.fallbacks, 0)
+    EXPECT_EQ(rep.fuse.nodesFused, 1)
         << "the TX chain should fuse into one region";
     auto got0 = bytesToSamples(f0->runBytes(dataBits));
     ASSERT_EQ(got0.size(), golden.size()) << ri.mbps << " Mbps";
@@ -547,8 +547,8 @@ class FusedRoundTrip : public ::testing::TestWithParam<Rate>
 TEST_P(FusedRoundTrip, FusedTxToFusedRxDecodes)
 {
     // Fused TX -> channel -> fused RX.  The receiver leans on native
-    // blocks (FFT, CCA), so this path also proves the VM-fallback spine
-    // composes with fused regions inside one real pipeline.
+    // blocks (FFT, CCA), so this path also proves native sites run
+    // inside a fused region in one real pipeline.
     Rate rate = GetParam();
     Rng rng(600 + static_cast<uint64_t>(rate));
     std::vector<uint8_t> payload(72);

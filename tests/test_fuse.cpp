@@ -2,9 +2,9 @@
  * @file
  * Fused-backend tests (ctest labels `tier1;fuse;diff`):
  *
- *  - fusibility classification: what lowers, what falls back
- *    (native blocks, threaded `|>>>|`), and where the boundary sits in
- *    a mixed tree;
+ *  - one region per build: native blocks run as sites inside it (and
+ *    throw through it as on the VM), an unsplit `|>>>|` lowers as a
+ *    plain pipe;
  *  - bytecode structure: channel counts, single Halt, disassembly;
  *  - the differential oracle over the fused axis ({O0..O3} x {vec} x
  *    {vm,fused} plus threaded-fused cells) on generated programs —
@@ -37,6 +37,7 @@ using namespace zb;
 using difftest::DiffConfig;
 using difftest::runDifferential;
 using testsupport::intBytes;
+using testsupport::runUntilThrow;
 using testsupport::throwAtBlock;
 using zgen::GenConfig;
 using zgen::GenDomain;
@@ -56,45 +57,6 @@ fusedOptions(OptLevel lvl = OptLevel::None)
     CompilerOptions opt = CompilerOptions::forLevel(lvl);
     opt.backend = Backend::Fused;
     return opt;
-}
-
-// --------------------------------------------------- fusibility rules
-
-TEST(Fusibility, PrimitivesAndCombinatorsAreFusible)
-{
-    EXPECT_TRUE(fusibleComp(incBlock(1)));
-    EXPECT_TRUE(fusibleComp(pipe(incBlock(1), incBlock(2))));
-
-    VarRef x = freshVar("x", Type::int32());
-    FunRef f = fun("inc", {x}, {}, var(x) + 1);
-    EXPECT_TRUE(fusibleComp(mapc(f)));
-
-    VarRef i = freshVar("i", Type::int32());
-    EXPECT_TRUE(fusibleComp(
-        letvar(i, cInt(0),
-               whilec(var(i) < 4,
-                      seqc({just(doS({assign(var(i), var(i) + 1)})),
-                            just(emit(var(i)))})))));
-    EXPECT_TRUE(fusibleComp(timesc(cInt(3), incBlock(0))));
-    EXPECT_TRUE(fusibleComp(ifc(cInt(1) == 1, incBlock(1), incBlock(2))));
-}
-
-TEST(Fusibility, NativeAndThreadedPipeRefuse)
-{
-    CompPtr nativeBlock = throwAtBlock(uint64_t(1) << 62);
-    EXPECT_FALSE(fusibleComp(nativeBlock));
-
-    CompPtr mt = ppipe(incBlock(1), incBlock(2));
-    EXPECT_FALSE(fusibleComp(mt));
-
-    // Non-fusibility propagates to every enclosing combinator...
-    EXPECT_FALSE(fusibleComp(pipe(incBlock(1), ppipe(incBlock(2),
-                                                     incBlock(3)))));
-    EXPECT_FALSE(fusibleComp(repeatc(
-        seqc({just(take(Type::int32())),
-              just(throwAtBlock(uint64_t(1) << 62))}))));
-    // ... but sibling subtrees stay independently fusible.
-    EXPECT_TRUE(fusibleComp(incBlock(1)));
 }
 
 // ------------------------------------------------- lowering structure
@@ -120,20 +82,23 @@ TEST(FusedLowering, WholeProgramBecomesOneFusedNode)
     EXPECT_NE(prog.disassemble().find("pipe.init"), std::string::npos);
 }
 
-TEST(FusedLowering, NativeBlockFallsBackInsideFusedTree)
+TEST(FusedLowering, NativeBlockRunsInsideTheRegion)
 {
-    // fused >>> native: the pipe itself cannot fuse, so it becomes a
-    // VM PipeNode with a FusedNode on the left and the native node on
-    // the right — one fused region, fallbacks for the spine + native.
+    // fused >>> native: the native block is a site of the one region,
+    // driven by the same NativeNode the VM runs.
     CompileReport rep;
     auto p = compilePipeline(
         pipe(incBlock(1), throwAtBlock(uint64_t(1) << 62)),
         fusedOptions(), &rep);
     EXPECT_EQ(rep.fuse.nodesFused, 1);
-    EXPECT_GE(rep.fuse.fallbacks, 2);  // pipe spine + native leaf
-    EXPECT_EQ(dynamic_cast<FusedNode*>(&p->root()), nullptr);
+    EXPECT_EQ(rep.fuse.fallbacks, 0);
+    auto* fn = dynamic_cast<FusedNode*>(&p->root());
+    ASSERT_NE(fn, nullptr);
+    EXPECT_EQ(fn->program().sites.size(), 1u);
+    EXPECT_EQ(fn->program().countOp(zfuse::Op::SitePull), 1u);
+    EXPECT_NE(fn->program().disassemble().find("site.pull"),
+              std::string::npos);
 
-    // It still runs, and matches the VM bit for bit.
     std::vector<int32_t> in(64);
     for (size_t i = 0; i < in.size(); ++i)
         in[i] = static_cast<int32_t>(i);
@@ -144,17 +109,48 @@ TEST(FusedLowering, NativeBlockFallsBackInsideFusedTree)
     EXPECT_EQ(p->runBytes(bytes), vm->runBytes(bytes));
 }
 
+TEST(FusedLowering, NativeKernelThrowsThroughTheRegionAsOnTheVm)
+{
+    auto make = [] {
+        return pipe(incBlock(1), pipe(throwAtBlock(40), incBlock(100)));
+    };
+    std::vector<int32_t> in(64, 3);
+    auto vm = runUntilThrow(make(), CompilerOptions::forLevel(OptLevel::None),
+                            in);
+    auto fz = runUntilThrow(make(), fusedOptions(), in);
+    ASSERT_NE(vm.what.find("induced stage exception"), std::string::npos)
+        << vm.what;
+    EXPECT_EQ(fz.what, vm.what);
+    EXPECT_EQ(fz.out, vm.out);
+    EXPECT_FALSE(vm.out.empty());
+}
+
+TEST(FusedLowering, UnsplitThreadedPipeIsOnePlainPipeRegion)
+{
+    // compilePipeline does not split at `|>>>|`: the whole program is
+    // still one region, and it matches the VM.
+    CompileReport rep;
+    auto p = compilePipeline(ppipe(incBlock(1), incBlock(2)),
+                             fusedOptions(), &rep);
+    EXPECT_EQ(rep.fuse.nodesFused, 1);
+    EXPECT_EQ(rep.fuse.channels, 1);
+    ASSERT_NE(dynamic_cast<FusedNode*>(&p->root()), nullptr);
+    std::vector<int32_t> in(32, 5);
+    auto bytes = intBytes(in);
+    auto vm = compilePipeline(ppipe(incBlock(1), incBlock(2)),
+                              CompilerOptions::forLevel(OptLevel::None));
+    EXPECT_EQ(p->runBytes(bytes), vm->runBytes(bytes));
+}
+
 TEST(FusedLowering, MetricsCountersAdvance)
 {
     auto& reg = metrics::Registry::global();
     uint64_t fusedBefore = reg.counter("ziria.fuse.nodes_fused").value();
-    uint64_t fallbackBefore = reg.counter("ziria.fuse.fallbacks").value();
     compilePipeline(incBlock(1), fusedOptions());
-    compilePipeline(ppipe(incBlock(1), incBlock(2)), fusedOptions());
+    compileThreadedPipeline(ppipe(incBlock(1), incBlock(2)),
+                            fusedOptions());
     EXPECT_GE(reg.counter("ziria.fuse.nodes_fused").value(),
               fusedBefore + 3);  // whole program + two |>>>| partitions
-    EXPECT_GE(reg.counter("ziria.fuse.fallbacks").value(),
-              fallbackBefore + 1);  // the threaded pipe spine
 }
 
 // ------------------------------------------- differential equivalence
@@ -363,10 +359,9 @@ resetShapes()
                  just(doS({assign(var(acc), var(acc) + var(x))})),
                  just(emit(var(acc)))})));
     }});
-    shapes.push_back({"native-fallback", [] {
-        // Not fusible: exercises reset() across the VM fallback spine
-        // with the native node below it.
-        return throwAtBlock(uint64_t(1) << 62);
+    shapes.push_back({"native-site", [] {
+        // reset() must return the region's NativeNode to unstarted.
+        return pipe(incBlock(3), throwAtBlock(uint64_t(1) << 62));
     }});
     return shapes;
 }

@@ -72,23 +72,6 @@ randomBits(size_t n, uint64_t seed)
     return out;
 }
 
-/** Private cgen cache for the native legs, as in test_cgen. */
-class CgenCacheEnv : public ::testing::Environment
-{
-  public:
-    void
-    SetUp() override
-    {
-        char tmpl[] = "/tmp/ziria-progcache-test-XXXXXX";
-        char* dir = mkdtemp(tmpl);
-        ASSERT_NE(dir, nullptr);
-        setenv("ZIRIA_CGEN_CACHE", dir, 1);
-    }
-};
-
-[[maybe_unused]] const ::testing::Environment* const kCacheEnv =
-    ::testing::AddGlobalTestEnvironment(new CgenCacheEnv);
-
 // --------------------------------------------------------------- hits
 
 TEST(ProgramCache, FreshWifiTxBuildsHitAndComputeNoTables)

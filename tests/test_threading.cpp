@@ -539,6 +539,17 @@ sinkInts(const VecSink& sink)
 
 } // namespace
 
+/** Stage-scoped restart re-arms one stage's node on every backend. */
+const Backend kAllBackends[] = {Backend::Vm, Backend::Fused,
+                                Backend::Native};
+
+const char*
+backendName(Backend be)
+{
+    return be == Backend::Vm ? "vm" : be == Backend::Fused ? "fused"
+                                                            : "native";
+}
+
 TEST(Threaded, StageScopedRestartPreservesDownstreamState)
 {
     // Source throws twice (throw@10:2 — the fault clock survives the
@@ -547,51 +558,59 @@ TEST(Threaded, StageScopedRestartPreservesDownstreamState)
     // running-sum stage keeps its live accumulator across BOTH
     // restarts, so the output stays strictly monotone.  A
     // pipeline-scoped restart would zero the accumulator and dip.
-    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
-    opt.queueCapacity = 8;
-    opt.restart.mode = RestartMode::OnFailure;
-    opt.restart.scope = RestartScope::Stage;
-    opt.restart.maxRestarts = 4;
-    opt.restart.backoffInitialMs = 1;
-    auto p = compileThreadedPipeline(
-        ppipe(incBlock(1), runningSum()), opt);
+    for (Backend be : kAllBackends) {
+        SCOPED_TRACE(backendName(be));
+        CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+        opt.backend = be;
+        opt.queueCapacity = 8;
+        opt.restart.mode = RestartMode::OnFailure;
+        opt.restart.scope = RestartScope::Stage;
+        opt.restart.maxRestarts = 4;
+        opt.restart.backoffInitialMs = 1;
+        auto p = compileThreadedPipeline(
+            ppipe(incBlock(1), runningSum()), opt);
 
-    const size_t N = 100;
-    std::vector<int32_t> in(N);
-    for (size_t i = 0; i < N; ++i)
-        in[i] = static_cast<int32_t>(i);  // stage 0 emits 1..N
-    auto bytes = intBytes(in);
-    MemSource mem(bytes, 4);
-    FaultySource src(mem, FaultSpec::parse("throw@10:2"));
-    VecSink sink(4);
+        const size_t N = 100;
+        std::vector<int32_t> in(N);
+        for (size_t i = 0; i < N; ++i)
+            in[i] = static_cast<int32_t>(i);  // stage 0 emits 1..N
+        auto bytes = intBytes(in);
+        MemSource mem(bytes, 4);
+        FaultySource src(mem, FaultSpec::parse("throw@10:2"));
+        VecSink sink(4);
 
-    auto& reg = metrics::Registry::global();
-    uint64_t attempts0 = reg.counter("restart.stage.attempts").value();
-    uint64_t restored0 = reg.counter("restart.stage.restored").value();
+        auto& reg = metrics::Registry::global();
+        uint64_t attempts0 =
+            reg.counter("restart.stage.attempts").value();
+        uint64_t restored0 =
+            reg.counter("restart.stage.restored").value();
 
-    p->run(src, sink);  // must not throw
+        p->run(src, sink);  // must not throw
 
-    // Two re-arms of stage 0; the first restore is skipped (no boundary
-    // snapshot exists before the first failure), the second restores.
-    EXPECT_EQ(reg.counter("restart.stage.attempts").value(),
-              attempts0 + 2);
-    EXPECT_EQ(reg.counter("restart.stage.restored").value(),
-              restored0 + 1);
-    EXPECT_EQ(src.fired(), 2u);
+        // Two re-arms of stage 0; the first restore is skipped (no
+        // boundary snapshot exists before the first failure), the
+        // second restores.
+        EXPECT_EQ(reg.counter("restart.stage.attempts").value(),
+                  attempts0 + 2);
+        EXPECT_EQ(reg.counter("restart.stage.restored").value(),
+                  restored0 + 1);
+        EXPECT_EQ(src.fired(), 2u);
 
-    std::vector<int32_t> got = sinkInts(sink);
-    // At most the reopened queue's backlog plus in-flight elements
-    // vanish per restart.
-    ASSERT_GE(got.size(), N - 2 * (8 + 2));
-    for (size_t i = 1; i < got.size(); ++i)
-        ASSERT_LT(got[i - 1], got[i])
-            << "accumulator state was lost across a restart (output "
-               "dipped at index " << i << ")";
-    // Each output is prev + the delivered value, so the final gap IS
-    // the last delivered value: the post-fault tail reached the sink.
-    ASSERT_GE(got.size(), 2u);
-    EXPECT_EQ(got.back() - got[got.size() - 2],
-              static_cast<int32_t>(N));
+        std::vector<int32_t> got = sinkInts(sink);
+        // At most the reopened queue's backlog plus in-flight elements
+        // vanish per restart.
+        ASSERT_GE(got.size(), N - 2 * (8 + 2));
+        for (size_t i = 1; i < got.size(); ++i)
+            ASSERT_LT(got[i - 1], got[i])
+                << "accumulator state was lost across a restart (output "
+                   "dipped at index " << i << ")";
+        // Each output is prev + the delivered value, so the final gap
+        // IS the last delivered value: the post-fault tail reached the
+        // sink.
+        ASSERT_GE(got.size(), 2u);
+        EXPECT_EQ(got.back() - got[got.size() - 2],
+                  static_cast<int32_t>(N));
+    }
 }
 
 TEST(Threaded, StageScopedRestartResetsOnlyTheFailedStage)
@@ -604,46 +623,117 @@ TEST(Threaded, StageScopedRestartResetsOnlyTheFailedStage)
     // consumed by stage 0 exactly once, so the last sum to reach the
     // sink is the full-series total: proof the accumulator was neither
     // reset nor double-fed.
-    VarRef x = freshVar("x", Type::int32());
-    CompPtr poison = repeatc(seqc(
-        {bindc(x, take(Type::int32())),
-         just(emit(var(x) + cInt(0) * (cInt(7) / (var(x) - 10))))}));
+    for (Backend be : kAllBackends) {
+        SCOPED_TRACE(backendName(be));
+        VarRef x = freshVar("x", Type::int32());
+        CompPtr poison = repeatc(seqc(
+            {bindc(x, take(Type::int32())),
+             just(emit(var(x) + cInt(0) * (cInt(7) / (var(x) - 10))))}));
 
-    CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
-    opt.queueCapacity = 8;
-    opt.restart.mode = RestartMode::OnFailure;
-    opt.restart.scope = RestartScope::Stage;
-    opt.restart.maxRestarts = 3;
-    opt.restart.backoffInitialMs = 1;
-    auto p = compileThreadedPipeline(
-        ppipe(ppipe(runningSum(), std::move(poison)), incBlock(0)),
-        opt);
+        CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+        opt.backend = be;
+        opt.queueCapacity = 8;
+        opt.restart.mode = RestartMode::OnFailure;
+        opt.restart.scope = RestartScope::Stage;
+        opt.restart.maxRestarts = 3;
+        opt.restart.backoffInitialMs = 1;
+        auto p = compileThreadedPipeline(
+            ppipe(ppipe(runningSum(), std::move(poison)), incBlock(0)),
+            opt);
 
-    const int32_t N = 60;
-    std::vector<int32_t> in(static_cast<size_t>(N));
-    for (int32_t i = 0; i < N; ++i)
-        in[static_cast<size_t>(i)] = i + 1;  // sums: 1,3,6,10,15,...
-    auto bytes = intBytes(in);
-    MemSource src(bytes, 4);
-    VecSink sink(4);
+        const int32_t N = 60;
+        std::vector<int32_t> in(static_cast<size_t>(N));
+        for (int32_t i = 0; i < N; ++i)
+            in[static_cast<size_t>(i)] = i + 1;  // sums: 1,3,6,10,15,...
+        auto bytes = intBytes(in);
+        MemSource src(bytes, 4);
+        VecSink sink(4);
 
-    auto& reg = metrics::Registry::global();
-    uint64_t attempts0 = reg.counter("restart.stage.attempts").value();
-    uint64_t restored0 = reg.counter("restart.stage.restored").value();
+        auto& reg = metrics::Registry::global();
+        uint64_t attempts0 =
+            reg.counter("restart.stage.attempts").value();
+        uint64_t restored0 =
+            reg.counter("restart.stage.restored").value();
 
-    p->run(src, sink);  // must not throw
+        p->run(src, sink);  // must not throw
 
-    EXPECT_EQ(reg.counter("restart.stage.attempts").value(),
-              attempts0 + 1);
-    EXPECT_EQ(reg.counter("restart.stage.restored").value(), restored0);
+        EXPECT_EQ(reg.counter("restart.stage.attempts").value(),
+                  attempts0 + 1);
+        EXPECT_EQ(reg.counter("restart.stage.restored").value(),
+                  restored0);
 
-    std::vector<int32_t> got = sinkInts(sink);
-    ASSERT_FALSE(got.empty());
-    for (size_t i = 1; i < got.size(); ++i)
-        ASSERT_LT(got[i - 1], got[i])
-            << "upstream accumulator was reset (output dipped at "
-            << i << ")";
-    EXPECT_EQ(got.back(), N * (N + 1) / 2);
+        std::vector<int32_t> got = sinkInts(sink);
+        ASSERT_FALSE(got.empty());
+        for (size_t i = 1; i < got.size(); ++i)
+            ASSERT_LT(got[i - 1], got[i])
+                << "upstream accumulator was reset (output dipped at "
+                << i << ")";
+        EXPECT_EQ(got.back(), N * (N + 1) / 2);
+    }
+}
+
+TEST(Threaded, StageScopedRestoreRollsBackTheStagesFrameCells)
+{
+    // Stage 1 fails first (on the value 6), while stage 0 — a running
+    // sum — is live mid-stream: the re-arm snapshots stage 0 there,
+    // after m < 40 inputs.  Stage 0 then fails on its 40th input,
+    // after adding it to its accumulator, and is restored to that
+    // boundary.  Its accumulator lives in the frame on every backend
+    // (a region keeps variables there), so the final sum must be the
+    // boundary sum plus 41..60 — at most the full series minus 40 —
+    // not the full series a stale accumulator would give.
+    for (Backend be : kAllBackends) {
+        SCOPED_TRACE(backendName(be));
+        VarRef acc = freshVar("acc", Type::int32());
+        VarRef x = freshVar("x", Type::int32());
+        CompPtr sum = letvar(
+            acc, cInt(0),
+            repeatc(seqc(
+                {bindc(x, take(Type::int32())),
+                 just(doS({assign(var(acc), var(acc) + var(x))})),
+                 just(emit(var(acc) +
+                           cInt(0) * (cInt(7) / (var(x) - 40))))})));
+        VarRef y = freshVar("y", Type::int32());
+        CompPtr poison = repeatc(seqc(
+            {bindc(y, take(Type::int32())),
+             just(emit(var(y) + cInt(0) * (cInt(7) / (var(y) - 6))))}));
+
+        CompilerOptions opt = CompilerOptions::forLevel(OptLevel::None);
+        opt.backend = be;
+        opt.queueCapacity = 8;
+        opt.restart.mode = RestartMode::OnFailure;
+        opt.restart.scope = RestartScope::Stage;
+        opt.restart.maxRestarts = 3;
+        opt.restart.backoffInitialMs = 1;
+        auto p = compileThreadedPipeline(
+            ppipe(std::move(sum), std::move(poison)), opt);
+
+        const int32_t N = 60;
+        std::vector<int32_t> in(static_cast<size_t>(N));
+        for (int32_t i = 0; i < N; ++i)
+            in[static_cast<size_t>(i)] = i + 1;
+        auto bytes = intBytes(in);
+        MemSource src(bytes, 4);
+        VecSink sink(4);
+
+        auto& reg = metrics::Registry::global();
+        uint64_t attempts0 =
+            reg.counter("restart.stage.attempts").value();
+        uint64_t restored0 =
+            reg.counter("restart.stage.restored").value();
+
+        p->run(src, sink);  // must not throw
+
+        EXPECT_EQ(reg.counter("restart.stage.attempts").value(),
+                  attempts0 + 2);
+        EXPECT_EQ(reg.counter("restart.stage.restored").value(),
+                  restored0 + 1);
+        std::vector<int32_t> got = sinkInts(sink);
+        ASSERT_FALSE(got.empty());
+        EXPECT_LE(got.back(), N * (N + 1) / 2 - 40)
+            << "the restored stage kept its post-boundary accumulator";
+        EXPECT_GE(got.back(), (N * (N + 1) - 40 * 41) / 2);
+    }
 }
 
 TEST(Threaded, RepeatedRunsReuseThePipeline)
